@@ -33,11 +33,11 @@ every step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .stats import StatsConfig, channel_std_map, correlation_map, normalized_std_map
+from .stats import StatsConfig, _normalize, _pair_pass
 from .tensor_core import AVERAGED, FeatureMap, SelectionMask, SpatialMap
 
 _TIE_BREAKS = ("lowest_index",)
@@ -75,12 +75,15 @@ class PairFusionResult:
     selection: per-location decision (averaged or winner index).
     rho: the correlation map the gate evaluated.
     sigma_hat: each branch's normalized std map, in input order.
+    sigma: each branch's raw channel std map, in input order; unmerge
+    reads the loser rescale ratios from it instead of recomputing them.
     """
 
     f_eff: FeatureMap
     selection: SelectionMask
     rho: SpatialMap
     sigma_hat: tuple[SpatialMap, ...]
+    sigma: tuple[SpatialMap, ...]
 
 
 @dataclass(frozen=True)
@@ -115,29 +118,23 @@ def naive_average(branches: list[FeatureMap]) -> FeatureMap:
     return FeatureMap((stack.sum(axis=0) / len(branches)).astype(np.float32))
 
 
-def _winner_map(s1_hat: SpatialMap, s2_hat: SpatialMap) -> np.ndarray:
-    # argmax over the pair; exact ties go to branch 0
-    return np.where(s2_hat.data > s1_hat.data, 1, 0)
-
-
 def merge_pair(f1: FeatureMap, f2: FeatureMap, cfg: FusionConfig | None = None) -> PairFusionResult:
     """Fuse two branches: rho-gated averaging vs. sigma_hat winner selection.
 
     Per location: if rho >= cfg.delta the fused vector is (f1 + f2) / 2
     and the location is marked averaged; otherwise the branch with the
     larger sigma_hat contributes its entire channel vector and the
-    location is marked with the winner's index.
+    location is marked with the winner's index (exact ties go to 0).
+    rho, both sigma maps and the average come from one blocked pass.
     """
     cfg = cfg or FusionConfig()
     _require_same_shape((f1, f2))
-    rho = correlation_map(f1, f2, cfg.stats)
-    s1_hat = normalized_std_map(f1, cfg.stats)
-    s2_hat = normalized_std_map(f2, cfg.stats)
+    eps = cfg.stats.epsilon_norm
+    rho, sigma1, sigma2, avg = _pair_pass(f1.data, f2.data, eps)
+    s1_hat, s2_hat = _normalize(sigma1, eps), _normalize(sigma2, eps)
 
-    averaged = rho.data >= cfg.delta
-    winner = _winner_map(s1_hat, s2_hat)
-
-    avg = ((f1.data.astype(np.float64) + f2.data.astype(np.float64)) / 2.0).astype(np.float32)
+    averaged = rho >= cfg.delta
+    winner = np.where(s2_hat > s1_hat, 1, 0)  # exact ties go to branch 0
     taken = np.where(winner[np.newaxis] == 0, f1.data, f2.data)
     eff = np.where(averaged[np.newaxis], avg, taken)
 
@@ -145,8 +142,9 @@ def merge_pair(f1: FeatureMap, f2: FeatureMap, cfg: FusionConfig | None = None) 
     return PairFusionResult(
         f_eff=FeatureMap(eff),
         selection=SelectionMask(codes, n_branches=2),
-        rho=rho,
-        sigma_hat=(s1_hat, s2_hat),
+        rho=SpatialMap(rho),
+        sigma_hat=(SpatialMap(s1_hat), SpatialMap(s2_hat)),
+        sigma=(SpatialMap(sigma1), SpatialMap(sigma2)),
     )
 
 
@@ -155,23 +153,11 @@ def pure_max_select(
 ) -> PairFusionResult:
     """Variance selection applied everywhere: the gate never averages.
 
-    Equivalent to merge_pair with delta above the rho ceiling (e.g. 2);
-    kept as its own assembly so the equivalence is a real check, not a
-    tautology.
+    This is merge_pair with delta = 2, above the rho ceiling; the
+    scalar-loop oracles, not a second assembly, check that selection
+    independently.
     """
-    cfg = cfg or FusionConfig()
-    _require_same_shape((f1, f2))
-    rho = correlation_map(f1, f2, cfg.stats)
-    s1_hat = normalized_std_map(f1, cfg.stats)
-    s2_hat = normalized_std_map(f2, cfg.stats)
-    winner = _winner_map(s1_hat, s2_hat)
-    eff = np.where(winner[np.newaxis] == 0, f1.data, f2.data)
-    return PairFusionResult(
-        f_eff=FeatureMap(eff),
-        selection=SelectionMask(winner, n_branches=2),
-        rho=rho,
-        sigma_hat=(s1_hat, s2_hat),
-    )
+    return merge_pair(f1, f2, replace(cfg or FusionConfig(), delta=2.0))
 
 
 def unmerge_pair(
@@ -181,6 +167,10 @@ def unmerge_pair(
     cfg: FusionConfig | None = None,
 ) -> tuple[FeatureMap, FeatureMap]:
     """Propagate a merge decision back onto both branches' features.
+
+    ``result`` must come from merge_pair on the same f1, f2: at won
+    locations its f_eff is taken to hold the winner's vector, and its
+    sigma maps supply the rescale ratios.
 
     Averaged locations: both branches adopt the fused vector.  Won
     locations: the winner keeps its original vector; the loser becomes
@@ -193,32 +183,25 @@ def unmerge_pair(
     """
     cfg = cfg or FusionConfig()
     _require_same_shape((f1, f2, result.f_eff))
-    if result.selection.shape != f1.shape[1:]:
-        raise ValueError(
-            f"selection shape mismatch: {result.selection.shape} vs {f1.shape[1:]}"
-        )
+    spatial = f1.shape[1:]
+    for name, m in [("selection", result.selection), *(("sigma", s) for s in result.sigma)]:
+        if m.shape != spatial:
+            raise ValueError(f"{name} shape mismatch: {m.shape} vs {spatial}")
     codes = result.selection.codes
-    averaged = codes == AVERAGED
     eff = result.f_eff.data
-
-    if not cfg.renormalize:
-        out1 = np.where(averaged[np.newaxis], eff, f1.data)
-        out2 = np.where(averaged[np.newaxis], eff, f2.data)
-        return FeatureMap(out1), FeatureMap(out2)
-
     eps = cfg.stats.epsilon_norm
-    sigmas = (channel_std_map(f1).data, channel_std_map(f2).data)
     datas = (f1.data, f2.data)
+    sigmas = tuple(s.data for s in result.sigma)
     out = []
     for i in (0, 1):
-        own, own_sigma = datas[i], sigmas[i]
-        win, win_sigma = datas[1 - i], sigmas[1 - i]
+        own_sigma, win_sigma = sigmas[i], sigmas[1 - i]
         lost = codes == (1 - i)
-        rescalable = lost & (win_sigma >= eps)
-        ratio = np.zeros_like(own_sigma)
-        np.divide(own_sigma, win_sigma, out=ratio, where=rescalable)
-        rescaled = (ratio[np.newaxis] * win.astype(np.float64)).astype(np.float32)
-        merged = np.where(averaged[np.newaxis], eff, np.where(rescalable[np.newaxis], rescaled, own))
+        rescalable = lost & (win_sigma >= eps) & cfg.renormalize
+        # scale 1 keeps f_eff: the fused vector, or this branch's own where it won
+        scale = np.ones(spatial)
+        np.divide(own_sigma, win_sigma, out=scale, where=rescalable)
+        merged = np.multiply(scale, eff, out=np.empty_like(eff), dtype=np.float64)
+        np.copyto(merged, datas[i], where=(lost & ~rescalable)[np.newaxis])
         out.append(FeatureMap(merged))
     return out[0], out[1]
 

@@ -12,9 +12,20 @@ each spatial location (j, k) from the C-element channel vectors:
   which gates whether they agree enough to be averaged.
 
 Accumulation happens in float64 even though feature maps store float32,
-so the variance of wide channel stacks does not cancel.  Reductions use
-numpy's fixed row-major pairwise order, keeping outputs bit-reproducible
-on a given platform.
+so the variance of wide channel stacks does not cancel; sigma is the
+two-pass ``np.std`` (mean first, then squared deviations), never
+E[x^2] - E[x]^2.  Every reduction over C runs sequentially in channel
+order at each location, so outputs are bit-reproducible on a given
+platform.
+
+The maps are computed over spatial row blocks: each block of rows is
+cast to float64 once (about 1 MiB per block, the height derived from C
+and W) and every statistic of that block is taken from the cast.  A
+block never holds a single location unless the whole map does, because
+numpy would then reduce that location pairwise instead of sequentially.
+The blocked results are therefore bit-identical to whole-array ones.
+sigma_hat needs the global spatial sum, so it is derived from the
+assembled sigma map after the blocks.
 """
 
 from __future__ import annotations
@@ -24,6 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor_core import FeatureMap, SpatialMap
+
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -41,13 +54,68 @@ class StatsConfig:
             raise ValueError(f"epsilon_norm must be > 0, got {self.epsilon_norm}")
 
 
+def _row_blocks(c: int, h: int, w: int) -> list[slice]:
+    """Row slices whose (C, rows, W) float64 cast is about _BLOCK_BYTES."""
+    step = max(2, _BLOCK_BYTES // (8 * c * w))
+    starts = list(range(0, h, step))
+    if len(starts) > 1 and (h - starts[-1]) * w == 1:
+        starts.pop()  # fold a one-location tail block into its neighbour
+    return [slice(j, k) for j, k in zip(starts, starts[1:] + [h])]
+
+
+def _cosine(a: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
+    """Clamped cosine similarity over axis 0 of two float64 blocks."""
+    sq = a * b
+    dot = sq.sum(axis=0)
+    n1sq = np.multiply(a, a, out=sq).sum(axis=0)
+    n2sq = np.multiply(b, b, out=sq).sum(axis=0)
+    ok = (np.sqrt(n1sq) >= eps) & (np.sqrt(n2sq) >= eps)
+    rho = np.zeros_like(dot)
+    # single sqrt of the product keeps rho(f, f) at exactly 1.0
+    np.divide(dot, np.sqrt(n1sq * n2sq), out=rho, where=ok)
+    return np.clip(rho, -1.0, 1.0, out=rho)
+
+
+def _normalize(sigma: np.ndarray, eps: float) -> np.ndarray:
+    """sigma / its spatial sum, or the uniform map when that sum is below eps."""
+    total = float(sigma.sum())
+    if total < eps:
+        return np.full(sigma.shape, 1.0 / sigma.size)
+    return sigma / total
+
+
+def _std_map(x: np.ndarray) -> np.ndarray:
+    sigma = np.empty(x.shape[1:])
+    for rows in _row_blocks(*x.shape):
+        sigma[rows] = x[:, rows].astype(np.float64).std(axis=0)
+    return sigma
+
+
+def _pair_pass(x1: np.ndarray, x2: np.ndarray, eps: float):
+    """One blocked pass over two (C, H, W) float32 arrays of equal shape.
+
+    Returns (rho, sigma1, sigma2, mean): three (H, W) float64 maps and
+    the float32 channel-wise mean (x1 + x2) / 2, rounded from float64.
+    """
+    rho, sigma1, sigma2 = np.empty((3,) + x1.shape[1:])
+    mean = np.empty(x1.shape, dtype=np.float32)
+    for rows in _row_blocks(*x1.shape):
+        a = x1[:, rows].astype(np.float64)
+        b = x2[:, rows].astype(np.float64)
+        rho[rows] = _cosine(a, b, eps)
+        sigma1[rows] = a.std(axis=0)
+        sigma2[rows] = b.std(axis=0)
+        np.divide(np.add(a, b, out=a), 2.0, out=mean[:, rows])
+    return rho, sigma1, sigma2, mean
+
+
 def channel_std_map(f: FeatureMap) -> SpatialMap:
     """Population standard deviation over channels at each location.
 
     Divides by C, not C-1, so C=1 inputs are well-defined (sigma = 0)
     and the variance-selection path degenerates to tie-breaking.
     """
-    return SpatialMap(f.data.astype(np.float64).std(axis=0))
+    return SpatialMap(_std_map(f.data))
 
 
 def normalized_std_map(f: FeatureMap, cfg: StatsConfig | None = None) -> SpatialMap:
@@ -58,11 +126,7 @@ def normalized_std_map(f: FeatureMap, cfg: StatsConfig | None = None) -> Spatial
     by zero.
     """
     cfg = cfg or StatsConfig()
-    sigma = f.data.astype(np.float64).std(axis=0)
-    total = float(sigma.sum())
-    if total < cfg.epsilon_norm:
-        return SpatialMap(np.full(sigma.shape, 1.0 / sigma.size))
-    return SpatialMap(sigma / total)
+    return SpatialMap(_normalize(_std_map(f.data), cfg.epsilon_norm))
 
 
 def correlation_map(f1: FeatureMap, f2: FeatureMap, cfg: StatsConfig | None = None) -> SpatialMap:
@@ -76,14 +140,9 @@ def correlation_map(f1: FeatureMap, f2: FeatureMap, cfg: StatsConfig | None = No
     cfg = cfg or StatsConfig()
     if f1.shape != f2.shape:
         raise ValueError(f"shape mismatch: {f1.shape} vs {f2.shape}")
-    a = f1.data.astype(np.float64)
-    b = f2.data.astype(np.float64)
-    dot = (a * b).sum(axis=0)
-    n1sq = (a * a).sum(axis=0)
-    n2sq = (b * b).sum(axis=0)
-    ok = (np.sqrt(n1sq) >= cfg.epsilon_norm) & (np.sqrt(n2sq) >= cfg.epsilon_norm)
-    rho = np.zeros_like(dot)
-    # single sqrt of the product keeps rho(f, f) at exactly 1.0
-    np.divide(dot, np.sqrt(n1sq * n2sq), out=rho, where=ok)
-    np.clip(rho, -1.0, 1.0, out=rho)
+    rho = np.empty(f1.shape[1:])
+    for rows in _row_blocks(*f1.shape):
+        a = f1.data[:, rows].astype(np.float64)
+        b = f2.data[:, rows].astype(np.float64)
+        rho[rows] = _cosine(a, b, cfg.epsilon_norm)
     return SpatialMap(rho)

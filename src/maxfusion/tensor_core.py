@@ -29,6 +29,7 @@ dependency.
 
 from __future__ import annotations
 
+import io
 import struct
 from typing import BinaryIO, Sequence
 
@@ -39,6 +40,7 @@ MXFT_VERSION = 1
 MXFT_DTYPE_F32 = 0
 _HEADER = struct.Struct("<4sIIIIII")  # magic, version, dtype, ndim, C, H, W
 HEADER_SIZE = _HEADER.size  # 28
+_READ_CHUNK = 1 << 20  # bytes per read from a stream that cannot seek
 
 
 class TensorFormatError(ValueError):
@@ -256,7 +258,9 @@ def read_tensor(source: BinaryIO) -> FeatureMap:
 
     Raises TensorFormatError on bad magic, unsupported version or dtype,
     a dims/payload size mismatch, and ValueError on non-finite payload
-    values.
+    values.  Header dims are checked against the bytes the stream holds
+    before a payload buffer is allocated, so an oversized header fails
+    as a truncated payload instead of exhausting memory.
     """
     header = source.read(HEADER_SIZE)
     if len(header) < HEADER_SIZE:
@@ -275,11 +279,36 @@ def read_tensor(source: BinaryIO) -> FeatureMap:
     if min(c, h, w) < 1:
         raise TensorFormatError(f"invalid dims ({c}, {h}, {w}): all must be >= 1")
     nbytes = 4 * c * h * w
-    payload = source.read(nbytes)
+    payload = _read_payload(source, nbytes)
     if len(payload) != nbytes:
-        raise TensorFormatError(f"truncated payload: expected {nbytes} bytes, got {len(payload)}")
+        raise TensorFormatError(
+            f"truncated payload for dims ({c}, {h}, {w}): "
+            f"expected {nbytes} bytes, got {len(payload)}"
+        )
     arr = np.frombuffer(payload, dtype="<f4").reshape(c, h, w)
     return FeatureMap(arr)
+
+
+def _read_payload(source: BinaryIO, nbytes: int) -> bytes:
+    """Read up to nbytes, allocating no more than the stream actually holds.
+
+    A header may claim any size, so a seekable stream is checked against
+    its remaining length first (and returns only what is left when that
+    is short); any other stream is read in bounded chunks until EOF.
+    """
+    if source.seekable():
+        here = source.tell()
+        left = source.seek(0, io.SEEK_END) - here
+        source.seek(here)
+        return source.read(min(nbytes, left))
+    chunks = []
+    while nbytes > 0:
+        chunk = source.read(min(nbytes, _READ_CHUNK))
+        if not chunk:
+            break
+        chunks.append(chunk)
+        nbytes -= len(chunk)
+    return b"".join(chunks)
 
 
 def read_spatial_map(source: BinaryIO) -> SpatialMap:

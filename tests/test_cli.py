@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 
@@ -107,6 +108,16 @@ class TestFuseCommand:
         assert load_tensor_file(tmp_path / "o" / "f_eff.mxft").shape == (3, 4, 4)
         for i in range(3):
             assert (tmp_path / "o" / f"branch_{i}_unmerged.mxft").exists()
+
+    def test_oversized_header_exits_2_naming_dims(self, tmp_path, capsys):
+        bad = tmp_path / "huge.mxft"
+        bad.write_bytes(struct.pack("<4sIIIIII", b"MXFT", 1, 0, 3, 65535, 65535, 65535))
+        good = tmp_path / "t.mxft"
+        write_tensor_file(good, random_tensor(7))
+        assert main(["fuse", str(bad), str(good), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "(65535, 65535, 65535)" in err
 
     def test_single_input_rejected(self, tmp_path):
         src = tmp_path / "t.mxft"

@@ -100,6 +100,38 @@ class TestMxftFormat:
         with pytest.raises(TensorFormatError, match="expected 32 bytes, got 28"):
             read_tensor(io.BytesIO(raw))
 
+    def test_oversized_header_rejected_before_allocating(self):
+        header = struct.pack("<4sIIIIII", b"MXFT", 1, 0, 3, 65535, 65535, 65535)
+        with pytest.raises(TensorFormatError, match=r"dims \(65535, 65535, 65535\).* got 8"):
+            read_tensor(io.BytesIO(header + bytes(8)))
+
+    def test_oversized_header_on_unseekable_stream(self):
+        class Pipe(io.RawIOBase):
+            def __init__(self, raw):
+                self._src = io.BytesIO(raw)
+
+            def readable(self):
+                return True
+
+            def readinto(self, b):
+                return self._src.readinto(b)
+
+        header = struct.pack("<4sIIIIII", b"MXFT", 1, 0, 3, 65535, 65535, 65535)
+        stream = io.BufferedReader(Pipe(header + bytes(12)))
+        assert not stream.seekable()
+        with pytest.raises(TensorFormatError, match=r"dims \(65535, 65535, 65535\).* got 12"):
+            read_tensor(stream)
+
+    def test_payload_after_header_read_from_mid_stream(self):
+        fm = make_feature_map(2, 1, 2, [1.0, 2.0, 3.0, 4.0])
+        buf = io.BytesIO()
+        buf.write(b"junk")
+        write_tensor(fm, buf)
+        write_tensor(fm, buf)
+        buf.seek(4)
+        assert read_tensor(buf) == fm
+        assert read_tensor(buf) == fm
+
     def test_truncated_header(self):
         with pytest.raises(TensorFormatError, match="truncated header"):
             read_tensor(io.BytesIO(b"MXFT\x01"))
