@@ -10,6 +10,7 @@ repeated runs produce byte-identical CSV and MXFT files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -304,6 +305,7 @@ def _add_scenario_flags(sp) -> None:
     sp.add_argument("--out", default="./out", help="output directory (default ./out)")
 
 
+@functools.cache  # parsing never mutates the parser, so every main() call shares one
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="maxfusion",

@@ -114,8 +114,8 @@ def naive_average(branches: list[FeatureMap]) -> FeatureMap:
     if not branches:
         raise ValueError("need at least 1 branch to average, got 0")
     _require_same_shape(branches)
-    stack = np.stack([b.data for b in branches]).astype(np.float64)
-    return FeatureMap((stack.sum(axis=0) / len(branches)).astype(np.float32))
+    stack = np.stack([b.data for b in branches], dtype=np.float64)
+    return FeatureMap._adopt((stack.sum(axis=0) / len(branches)).astype(np.float32))
 
 
 def merge_pair(f1: FeatureMap, f2: FeatureMap, cfg: FusionConfig | None = None) -> PairFusionResult:
@@ -133,18 +133,17 @@ def merge_pair(f1: FeatureMap, f2: FeatureMap, cfg: FusionConfig | None = None) 
     rho, sigma1, sigma2, avg = _pair_pass(f1.data, f2.data, eps)
     s1_hat, s2_hat = _normalize(sigma1, eps), _normalize(sigma2, eps)
 
-    averaged = rho >= cfg.delta
-    winner = np.where(s2_hat > s1_hat, 1, 0)  # exact ties go to branch 0
-    taken = np.where(winner[np.newaxis] == 0, f1.data, f2.data)
-    eff = np.where(averaged[np.newaxis], avg, taken)
-
-    codes = np.where(averaged, AVERAGED, winner)
+    winner = (s2_hat > s1_hat).astype(np.int32)  # exact ties go to branch 0
+    codes = np.where(rho >= cfg.delta, AVERAGED, winner)
+    # the average buffer becomes f_eff: won locations take the winner's vector
+    np.copyto(avg, f1.data, where=(codes == 0)[np.newaxis])
+    np.copyto(avg, f2.data, where=(codes == 1)[np.newaxis])
     return PairFusionResult(
-        f_eff=FeatureMap(eff),
-        selection=SelectionMask(codes, n_branches=2),
-        rho=SpatialMap(rho),
-        sigma_hat=(SpatialMap(s1_hat), SpatialMap(s2_hat)),
-        sigma=(SpatialMap(sigma1), SpatialMap(sigma2)),
+        f_eff=FeatureMap._adopt(avg),
+        selection=SelectionMask._adopt(codes, 2),
+        rho=SpatialMap._adopt(rho),
+        sigma_hat=(SpatialMap._adopt(s1_hat), SpatialMap._adopt(s2_hat)),
+        sigma=(SpatialMap._adopt(sigma1), SpatialMap._adopt(sigma2)),
     )
 
 
@@ -200,9 +199,11 @@ def unmerge_pair(
         # scale 1 keeps f_eff: the fused vector, or this branch's own where it won
         scale = np.ones(spatial)
         np.divide(own_sigma, win_sigma, out=scale, where=rescalable)
-        merged = np.multiply(scale, eff, out=np.empty_like(eff), dtype=np.float64)
+        # an overflowing rescale is reported by the finite check, not a warning
+        with np.errstate(over="ignore"):
+            merged = np.multiply(scale, eff, out=np.empty_like(eff), dtype=np.float64)
         np.copyto(merged, datas[i], where=(lost & ~rescalable)[np.newaxis])
-        out.append(FeatureMap(merged))
+        out.append(FeatureMap._adopt(merged))
     return out[0], out[1]
 
 

@@ -44,6 +44,13 @@ from .tensor_core import FeatureMap, SelectionMask, _freeze
 STRATEGIES = ("maxfusion", "naive", "max_select", "single", "unconditional")
 PRESET_NAMES = ("contradictory", "complementary", "three_way")
 
+#: Upper bounds on the sizes a scenario JSON controls, checked before
+#: anything is allocated.
+MAX_STEPS = 10_000
+MAX_GRID_SIDE = 1024
+MAX_CHANNELS = 4096
+MAX_FEATURE_VALUES = 1 << 24  # channels * height * width of one branch feature
+
 
 class NoiseSchedule:
     """Forward-diffusion beta schedule with derived cumulative products."""
@@ -312,7 +319,7 @@ def branch_encode(scenario: Scenario, b: int, x0_hat: np.ndarray) -> FeatureMap:
     br = scenario.branches[b]
     signal = br.strength * br.mask * (br.target - np.asarray(x0_hat, dtype=np.float64))
     data = br.embedding[:, np.newaxis, np.newaxis] * signal[np.newaxis]
-    return FeatureMap(data.astype(np.float32))
+    return FeatureMap._adopt(data.astype(np.float32))
 
 
 def decode_guidance(f_eff: FeatureMap, readout: np.ndarray) -> np.ndarray:
@@ -347,6 +354,16 @@ def _apply_strategy(scenario: Scenario, feats: tuple[FeatureMap, ...]):
     raise ValueError(f"unknown strategy {strat!r}")
 
 
+def _encode_branches(scenario: Scenario, x0_hat: np.ndarray, t: int) -> tuple[FeatureMap, ...]:
+    feats = []
+    for b in range(len(scenario.branches)):
+        try:
+            feats.append(branch_encode(scenario, b, x0_hat))
+        except ValueError as exc:
+            raise ValueError(f"sampler diverged at step t={t} in branch {b}: {exc}") from None
+    return tuple(feats)
+
+
 def sample(scenario: Scenario, record_trace: bool = False) -> RunReport:
     """Run the full guided ancestral loop and score the result.
 
@@ -359,6 +376,11 @@ def sample(scenario: Scenario, record_trace: bool = False) -> RunReport:
     max_select strategies run the fold, which merges and unmerges every
     pair; the unmerged per-branch features live in the trace (the
     encoders are stateless, so there is nothing to feed them back into).
+
+    A run whose state grows past float32 range (a guidance weight far
+    too large, say) raises ValueError naming the step t, and the branch
+    when one branch's encoding overflowed, instead of emitting numpy
+    overflow warnings.
     """
     start = time.perf_counter()
     sched = scenario.schedule
@@ -366,39 +388,44 @@ def sample(scenario: Scenario, record_trace: bool = False) -> RunReport:
     rng = np.random.default_rng(scenario.seed)
     shape = (scenario.height, scenario.width)
 
-    mean0, var0 = _marginal(sched, steps - 1, scenario.prior_mean, scenario.prior_std)
-    x = mean0 + math.sqrt(var0) * rng.standard_normal(shape)
-
     lam = scenario.guidance_weight
     conditioned = scenario.strategy != "unconditional" and len(scenario.branches) > 0
     step_stats: list[tuple[SelectionStats, ...]] = []
     trace: list[TraceStep] = []
 
-    for t in range(steps - 1, -1, -1):
-        score = analytic_score(x, t, sched, scenario.prior_mean, scenario.prior_std)
-        s_eff = score
-        feats: tuple[FeatureMap, ...] = ()
-        fold = None
-        f_eff = None
-        events: tuple[SelectionStats, ...] = ()
-        if conditioned:
-            abar = float(sched.alpha_bar[t])
-            x0_hat = (x + (1.0 - abar) * score) / math.sqrt(abar)
-            feats = tuple(
-                branch_encode(scenario, b, x0_hat) for b in range(len(scenario.branches))
-            )
-            f_eff, fold, events = _apply_strategy(scenario, feats)
-            if lam != 0.0:
-                s_eff = score + lam * decode_guidance(f_eff, scenario.readout)
-        beta = float(sched.betas[t])
-        mean = (x + beta * s_eff) / math.sqrt(1.0 - beta)
-        if t > 0:
-            x = mean + math.sqrt(beta) * rng.standard_normal(shape)
-        else:
-            x = mean
-        step_stats.append(events)
-        if record_trace:
-            trace.append(TraceStep(features=feats, fold=fold, f_eff=f_eff))
+    # overflow surfaces as the ValueErrors below, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean0, var0 = _marginal(sched, steps - 1, scenario.prior_mean, scenario.prior_std)
+        x = mean0 + math.sqrt(var0) * rng.standard_normal(shape)
+        for t in range(steps - 1, -1, -1):
+            score = analytic_score(x, t, sched, scenario.prior_mean, scenario.prior_std)
+            s_eff = score
+            feats: tuple[FeatureMap, ...] = ()
+            fold = None
+            f_eff = None
+            events: tuple[SelectionStats, ...] = ()
+            if conditioned:
+                abar = float(sched.alpha_bar[t])
+                x0_hat = (x + (1.0 - abar) * score) / math.sqrt(abar)
+                feats = _encode_branches(scenario, x0_hat, t)
+                try:
+                    f_eff, fold, events = _apply_strategy(scenario, feats)
+                except ValueError as exc:
+                    raise ValueError(f"sampler diverged at step t={t} in fusion: {exc}") from None
+                if lam != 0.0:
+                    s_eff = score + lam * decode_guidance(f_eff, scenario.readout)
+            beta = float(sched.betas[t])
+            mean = (x + beta * s_eff) / math.sqrt(1.0 - beta)
+            if t > 0:
+                x = mean + math.sqrt(beta) * rng.standard_normal(shape)
+            else:
+                x = mean
+            step_stats.append(events)
+            if record_trace:
+                trace.append(TraceStep(features=feats, fold=fold, f_eff=f_eff))
+    # a conditioned step's non-finite state is caught by the next step's encoding
+    if not np.isfinite(x).all():
+        raise ValueError("sampler diverged: the final sample is non-finite")
 
     return RunReport(
         final_sample=_freeze(x),
@@ -573,23 +600,48 @@ def scenario_to_dict(s: Scenario) -> dict:
     }
 
 
+def _bounded_int(value, name: str, limit: int) -> int:
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"scenario field '{name}' must be an integer, got {value!r}") from None
+    if n > limit:
+        raise ValueError(f"scenario field '{name}' must be <= {limit}, got {n}")
+    return n
+
+
 def scenario_from_dict(d: dict) -> Scenario:
     """Build and validate a Scenario from a JSON-shaped dict.
 
     The schedule accepts either an explicit {"betas": [...]} list or
-    linear parameters {"steps", "beta_start", "beta_end"}.
+    linear parameters {"steps", "beta_start", "beta_end"}.  Step count,
+    grid and channel count are bounded (MAX_STEPS, MAX_GRID_SIDE,
+    MAX_CHANNELS, MAX_FEATURE_VALUES) before anything is allocated.
     """
     for req in ("height", "width"):
         if req not in d:
             raise ValueError(f"scenario field '{req}' is required")
+    height = _bounded_int(d["height"], "height", MAX_GRID_SIDE)
+    width = _bounded_int(d["width"], "width", MAX_GRID_SIDE)
+    channels = _bounded_int(d.get("channels", 8), "channels", MAX_CHANNELS)
+    if channels * height * width > MAX_FEATURE_VALUES:
+        raise ValueError(
+            f"scenario fields 'channels' * 'height' * 'width' must be <= "
+            f"{MAX_FEATURE_VALUES}, got {channels} * {height} * {width}"
+        )
     sched_d = d.get("schedule", {})
     if not isinstance(sched_d, dict):
         raise ValueError("scenario field 'schedule' must be an object")
     if "betas" in sched_d:
-        schedule = NoiseSchedule(sched_d["betas"])
+        betas = sched_d["betas"]
+        if not isinstance(betas, list) or len(betas) > MAX_STEPS:
+            raise ValueError(
+                f"scenario field 'schedule.betas' must be a list of <= {MAX_STEPS} values"
+            )
+        schedule = NoiseSchedule(betas)
     else:
         schedule = NoiseSchedule.linear(
-            steps=int(sched_d.get("steps", 50)),
+            steps=_bounded_int(sched_d.get("steps", 50), "schedule.steps", MAX_STEPS),
             beta_start=float(sched_d.get("beta_start", 1e-4)),
             beta_end=float(sched_d.get("beta_end", 0.02)),
         )
@@ -625,9 +677,9 @@ def scenario_from_dict(d: dict) -> Scenario:
             )
         )
     return Scenario(
-        height=int(d["height"]),
-        width=int(d["width"]),
-        channels=int(d.get("channels", 8)),
+        height=height,
+        width=width,
+        channels=channels,
         schedule=schedule,
         branches=branches,
         guidance_weight=float(d.get("guidance_weight", 1.5)),

@@ -16,7 +16,9 @@ so the variance of wide channel stacks does not cancel; sigma is the
 two-pass ``np.std`` (mean first, then squared deviations), never
 E[x^2] - E[x]^2.  Every reduction over C runs sequentially in channel
 order at each location, so outputs are bit-reproducible on a given
-platform.
+platform.  Sums of products (dot products, squared norms, squared
+deviations) go through ``einsum``, which accumulates in that same order
+without materialising the product array.
 
 The maps are computed over spatial row blocks: each block of rows is
 cast to float64 once (about 1 MiB per block, the height derived from C
@@ -63,12 +65,31 @@ def _row_blocks(c: int, h: int, w: int) -> list[slice]:
     return [slice(j, k) for j, k in zip(starts, starts[1:] + [h])]
 
 
+def _sumprod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum of a * b over axis 0 of two (C, rows, W) float64 blocks.
+
+    einsum adds the products at each location in channel order, as
+    add.reduce over axis 0 does, but writes no product array.  On a
+    single location numpy reduces pairwise instead, so that case keeps
+    multiply-then-sum.
+    """
+    if a[0].size == 1:
+        return (a * b).sum(axis=0)
+    return np.einsum("ijk,ijk->jk", a, b)
+
+
+def _std(a: np.ndarray) -> np.ndarray:
+    """Two-pass population std over axis 0, rounded exactly as np.std."""
+    c = a.shape[0]
+    dev = a - a.sum(axis=0, keepdims=True) / c
+    return np.sqrt(_sumprod(dev, dev) / c)
+
+
 def _cosine(a: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
     """Clamped cosine similarity over axis 0 of two float64 blocks."""
-    sq = a * b
-    dot = sq.sum(axis=0)
-    n1sq = np.multiply(a, a, out=sq).sum(axis=0)
-    n2sq = np.multiply(b, b, out=sq).sum(axis=0)
+    dot = _sumprod(a, b)
+    n1sq = _sumprod(a, a)
+    n2sq = _sumprod(b, b)
     ok = (np.sqrt(n1sq) >= eps) & (np.sqrt(n2sq) >= eps)
     rho = np.zeros_like(dot)
     # single sqrt of the product keeps rho(f, f) at exactly 1.0
@@ -87,7 +108,7 @@ def _normalize(sigma: np.ndarray, eps: float) -> np.ndarray:
 def _std_map(x: np.ndarray) -> np.ndarray:
     sigma = np.empty(x.shape[1:])
     for rows in _row_blocks(*x.shape):
-        sigma[rows] = x[:, rows].astype(np.float64).std(axis=0)
+        sigma[rows] = _std(x[:, rows].astype(np.float64))
     return sigma
 
 
@@ -103,8 +124,8 @@ def _pair_pass(x1: np.ndarray, x2: np.ndarray, eps: float):
         a = x1[:, rows].astype(np.float64)
         b = x2[:, rows].astype(np.float64)
         rho[rows] = _cosine(a, b, eps)
-        sigma1[rows] = a.std(axis=0)
-        sigma2[rows] = b.std(axis=0)
+        sigma1[rows] = _std(a)
+        sigma2[rows] = _std(b)
         np.divide(np.add(a, b, out=a), 2.0, out=mean[:, rows])
     return rho, sigma1, sigma2, mean
 
@@ -115,7 +136,7 @@ def channel_std_map(f: FeatureMap) -> SpatialMap:
     Divides by C, not C-1, so C=1 inputs are well-defined (sigma = 0)
     and the variance-selection path degenerates to tie-breaking.
     """
-    return SpatialMap(_std_map(f.data))
+    return SpatialMap._adopt(_std_map(f.data))
 
 
 def normalized_std_map(f: FeatureMap, cfg: StatsConfig | None = None) -> SpatialMap:
@@ -126,7 +147,7 @@ def normalized_std_map(f: FeatureMap, cfg: StatsConfig | None = None) -> Spatial
     by zero.
     """
     cfg = cfg or StatsConfig()
-    return SpatialMap(_normalize(_std_map(f.data), cfg.epsilon_norm))
+    return SpatialMap._adopt(_normalize(_std_map(f.data), cfg.epsilon_norm))
 
 
 def correlation_map(f1: FeatureMap, f2: FeatureMap, cfg: StatsConfig | None = None) -> SpatialMap:
@@ -145,4 +166,4 @@ def correlation_map(f1: FeatureMap, f2: FeatureMap, cfg: StatsConfig | None = No
         a = f1.data[:, rows].astype(np.float64)
         b = f2.data[:, rows].astype(np.float64)
         rho[rows] = _cosine(a, b, cfg.epsilon_norm)
-    return SpatialMap(rho)
+    return SpatialMap._adopt(rho)

@@ -9,6 +9,14 @@ by one branch.  All three are immutable after construction and reject
 non-finite values at every boundary, so downstream arithmetic never
 has to guard against NaN or infinity.
 
+The public constructors copy their input, because the caller may still
+hold and later mutate it.  An array the library has just allocated
+itself, and that nothing else references, is adopted instead: the
+private ``_adopt`` constructor runs the same shape, range and
+finiteness checks and freezes the array in place, but does not copy
+it.  MXFT reads, the statistics maps and every fusion output take that
+path, so each feature byte is moved once.
+
 On-disk tensor format (MXFT, little-endian throughout):
 
     bytes  0-3    magic ``b"MXFT"``
@@ -59,7 +67,31 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-class FeatureMap:
+def _check_dims(arr: np.ndarray, ndim: int, what: str) -> None:
+    if arr.ndim != ndim:
+        raise ValueError(f"expected {what} array, got {arr.ndim} dims")
+    if min(arr.shape) < 1:
+        raise ValueError(f"all dims must be >= 1, got shape {arr.shape}")
+
+
+class _Frozen:
+    """Shared adopt-not-copy constructor of the three containers."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _adopt(cls, *args):
+        """Wrap arrays the library just allocated and nothing else references.
+
+        Same checks as the public constructor, without its copy; the
+        arrays are frozen in place.
+        """
+        obj = cls.__new__(cls)
+        obj._fill(*args, copy=False)
+        return obj
+
+
+class FeatureMap(_Frozen):
     """Immutable (C, H, W) float32 tensor.
 
     The channel vector at spatial location (j, k) is ``data[:, j, k]``;
@@ -69,12 +101,12 @@ class FeatureMap:
     __slots__ = ("data",)
 
     def __init__(self, data: np.ndarray):
+        self._fill(data, copy=True)
+
+    def _fill(self, data, copy: bool) -> None:
         arr = np.asarray(data)
-        if arr.ndim != 3:
-            raise ValueError(f"expected a (C, H, W) array, got {arr.ndim} dims")
-        if min(arr.shape) < 1:
-            raise ValueError(f"all dims must be >= 1, got shape {arr.shape}")
-        arr = arr.astype(np.float32, copy=True)
+        _check_dims(arr, 3, "a (C, H, W)")
+        arr = arr.astype(np.float32, copy=copy)
         _check_finite(arr)
         self.data = _freeze(arr)
 
@@ -126,18 +158,18 @@ def make_feature_map(
     return FeatureMap(flat.reshape(channels, height, width))
 
 
-class SpatialMap:
+class SpatialMap(_Frozen):
     """Immutable (H, W) float64 field of per-location scalars."""
 
     __slots__ = ("data",)
 
     def __init__(self, data: np.ndarray):
+        self._fill(data, copy=True)
+
+    def _fill(self, data, copy: bool) -> None:
         arr = np.asarray(data)
-        if arr.ndim != 2:
-            raise ValueError(f"expected an (H, W) array, got {arr.ndim} dims")
-        if min(arr.shape) < 1:
-            raise ValueError(f"all dims must be >= 1, got shape {arr.shape}")
-        arr = arr.astype(np.float64, copy=True)
+        _check_dims(arr, 2, "an (H, W)")
+        arr = arr.astype(np.float64, copy=copy)
         _check_finite(arr)
         self.data = _freeze(arr)
 
@@ -161,7 +193,9 @@ class SpatialMap:
 
     def to_feature_map(self) -> FeatureMap:
         """Reinterpret as a C=1 feature map (float32 cast) for MXFT export."""
-        return FeatureMap(self.data[np.newaxis].astype(np.float32))
+        with np.errstate(over="ignore"):  # out-of-range values fail the finite check
+            data = self.data[np.newaxis].astype(np.float32)
+        return FeatureMap._adopt(data)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SpatialMap):
@@ -178,7 +212,7 @@ class SpatialMap:
 AVERAGED = -1
 
 
-class SelectionMask:
+class SelectionMask(_Frozen):
     """Per-location fusion decisions: AVERAGED (-1) or a winner branch index.
 
     ``n_branches`` is the number of branches that participated in the
@@ -188,14 +222,14 @@ class SelectionMask:
     __slots__ = ("codes", "n_branches")
 
     def __init__(self, codes: np.ndarray, n_branches: int):
+        self._fill(codes, n_branches, copy=True)
+
+    def _fill(self, codes, n_branches: int, copy: bool) -> None:
         arr = np.asarray(codes)
-        if arr.ndim != 2:
-            raise ValueError(f"expected an (H, W) code array, got {arr.ndim} dims")
-        if min(arr.shape) < 1:
-            raise ValueError(f"all dims must be >= 1, got shape {arr.shape}")
+        _check_dims(arr, 2, "an (H, W) code")
         if n_branches < 1:
             raise ValueError(f"n_branches must be >= 1, got {n_branches}")
-        arr = arr.astype(np.int32, copy=True)
+        arr = arr.astype(np.int32, copy=copy)
         if arr.min(initial=AVERAGED) < AVERAGED or arr.max(initial=0) >= n_branches:
             raise ValueError(
                 f"selection codes must be {AVERAGED} (averaged) or a branch index "
@@ -224,7 +258,7 @@ class SelectionMask:
 
     def tag_map(self) -> FeatureMap:
         """Numeric tags as a C=1 tensor (-1.0 averaged, b.0 winner) for MXFT export."""
-        return FeatureMap(self.codes[np.newaxis].astype(np.float32))
+        return FeatureMap._adopt(self.codes[np.newaxis].astype(np.float32))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SelectionMask):
@@ -242,15 +276,17 @@ class SelectionMask:
 def write_tensor(tensor: FeatureMap | SpatialMap, sink: BinaryIO) -> int:
     """Serialize a tensor to MXFT bytes; returns the byte count written.
 
-    Spatial maps are written as C=1 feature maps (float32 cast).
+    Spatial maps are written as C=1 feature maps (float32 cast).  The
+    payload is written from the map's own buffer; only a big-endian host
+    makes a byte-swapped copy.
     """
     fm = tensor.to_feature_map() if isinstance(tensor, SpatialMap) else tensor
     c, h, w = fm.shape
     header = _HEADER.pack(MXFT_MAGIC, MXFT_VERSION, MXFT_DTYPE_F32, 3, c, h, w)
-    payload = fm.data.astype("<f4").tobytes()
+    payload = np.ascontiguousarray(fm.data, dtype="<f4").reshape(-1).view(np.uint8)
     sink.write(header)
-    sink.write(payload)
-    return len(header) + len(payload)
+    sink.write(memoryview(payload))
+    return len(header) + payload.size
 
 
 def read_tensor(source: BinaryIO) -> FeatureMap:
@@ -278,37 +314,41 @@ def read_tensor(source: BinaryIO) -> FeatureMap:
         raise TensorFormatError(f"unsupported ndim {ndim} (supported: 3)")
     if min(c, h, w) < 1:
         raise TensorFormatError(f"invalid dims ({c}, {h}, {w}): all must be >= 1")
-    nbytes = 4 * c * h * w
-    payload = _read_payload(source, nbytes)
-    if len(payload) != nbytes:
-        raise TensorFormatError(
-            f"truncated payload for dims ({c}, {h}, {w}): "
-            f"expected {nbytes} bytes, got {len(payload)}"
-        )
-    arr = np.frombuffer(payload, dtype="<f4").reshape(c, h, w)
-    return FeatureMap(arr)
+    return FeatureMap._adopt(_read_payload(source, c, h, w))
 
 
-def _read_payload(source: BinaryIO, nbytes: int) -> bytes:
-    """Read up to nbytes, allocating no more than the stream actually holds.
+def _read_payload(source: BinaryIO, c: int, h: int, w: int) -> np.ndarray:
+    """Read the (c, h, w) '<f4' payload, allocating no more than the stream holds.
 
     A header may claim any size, so a seekable stream is checked against
-    its remaining length first (and returns only what is left when that
-    is short); any other stream is read in bounded chunks until EOF.
+    its remaining length first and, when that suffices, read straight
+    into a preallocated array; any other stream is read in bounded
+    chunks until EOF.
     """
+    nbytes = 4 * c * h * w
     if source.seekable():
         here = source.tell()
-        left = source.seek(0, io.SEEK_END) - here
+        got = source.seek(0, io.SEEK_END) - here  # all the stream holds
         source.seek(here)
-        return source.read(min(nbytes, left))
-    chunks = []
-    while nbytes > 0:
-        chunk = source.read(min(nbytes, _READ_CHUNK))
-        if not chunk:
-            break
-        chunks.append(chunk)
-        nbytes -= len(chunk)
-    return b"".join(chunks)
+        if got >= nbytes:
+            arr = np.empty((c, h, w), dtype="<f4")
+            view = memoryview(arr.reshape(-1).view(np.uint8))
+            got = 0
+            while got < nbytes and (n := source.readinto(view[got:])):
+                got += n
+    else:
+        chunks = []
+        got = 0
+        while got < nbytes and (chunk := source.read(min(nbytes - got, _READ_CHUNK))):
+            chunks.append(chunk)
+            got += len(chunk)
+        arr = np.frombuffer(b"".join(chunks), dtype="<f4")
+    if got < nbytes:
+        raise TensorFormatError(
+            f"truncated payload for dims ({c}, {h}, {w}): "
+            f"expected {nbytes} bytes, got {got}"
+        )
+    return arr.reshape(c, h, w)
 
 
 def read_spatial_map(source: BinaryIO) -> SpatialMap:

@@ -1,11 +1,12 @@
 """Bit-identity of the row-blocked statistics kernel.
 
 The references below are the whole-array formulas the blocked kernel
-replaced, kept verbatim: every map the library computes must be
-``array_equal`` to them, not merely close.  Small shapes are split into
-many blocks by shrinking the block budget, so every edge of the
-blocking (a short tail block, a one-row tail at W = 1, a single block)
-is reached without MB-sized inputs.
+replaced, kept verbatim: every map the library computes must equal them
+byte for byte (so a -0.0 where the reference has 0.0 fails), not merely
+be close.  Small shapes are split into many blocks by shrinking the
+block budget, so every edge of the blocking (a short tail block, a
+one-row tail at W = 1, a single block) is reached without MB-sized
+inputs.
 """
 
 from unittest import mock
@@ -109,17 +110,22 @@ def small_blocks(shape, rows):
     return mock.patch.object(stats, "_BLOCK_BYTES", 8 * c * w * rows)
 
 
+def same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def assert_maps_bit_identical(x1, x2):
     f1, f2 = FeatureMap(x1), FeatureMap(x2)
     for x, f in ((x1, f1), (x2, f2)):
-        assert np.array_equal(channel_std_map(f).data, ref_sigma(x))
-        assert np.array_equal(normalized_std_map(f).data, ref_sigma_hat(x))
-    assert np.array_equal(correlation_map(f1, f2).data, ref_rho(x1, x2))
+        assert same_bytes(channel_std_map(f).data, ref_sigma(x))
+        assert same_bytes(normalized_std_map(f).data, ref_sigma_hat(x))
+    assert same_bytes(correlation_map(f1, f2).data, ref_rho(x1, x2))
     res = merge_pair(f1, f2)
-    assert np.array_equal(res.rho.data, ref_rho(x1, x2))
+    assert same_bytes(res.rho.data, ref_rho(x1, x2))
     for i, x in enumerate((x1, x2)):
-        assert np.array_equal(res.sigma[i].data, ref_sigma(x))
-        assert np.array_equal(res.sigma_hat[i].data, ref_sigma_hat(x))
+        assert same_bytes(res.sigma[i].data, ref_sigma(x))
+        assert same_bytes(res.sigma_hat[i].data, ref_sigma_hat(x))
 
 
 # -- tests ------------------------------------------------------------------
@@ -169,6 +175,36 @@ class TestStatisticsBitIdentical:
         sigma = channel_std_map(FeatureMap(x1)).data
         assert np.all(np.abs(sigma - 1.0) < 0.3)
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**31), c=st.integers(1, 300), offset=offsets)
+    def test_single_location(self, seed, c, offset):
+        # H*W = 1: numpy reduces the lone location pairwise, not in channel order
+        assert_maps_bit_identical(*branch_pair(seed, (c, 1, 1), offset))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**31), c=st.integers(1, 300), h=st.integers(2, 9))
+    def test_single_column(self, seed, c, h):
+        x1, x2 = branch_pair(seed, (c, h, 1), 0.0)
+        with small_blocks(x1.shape, 2):
+            assert_maps_bit_identical(x1, x2)
+        assert_maps_bit_identical(x1, x2)
+
+    @pytest.mark.parametrize("shape", [(4, 1, 1), (4, 1, 3), (4, 3, 1), (4, 2, 2)])
+    def test_signed_zero_products(self, shape):
+        # orthogonal channel vectors whose every product is -0.0 (one factor
+        # zero, the other of opposite sign), next to locations of +0.0 products
+        c, h, w = shape
+        n = h * w
+        x1 = np.zeros((c, n), dtype=np.float32)
+        x2 = np.zeros((c, n), dtype=np.float32)
+        x1[0::2], x2[1::2] = 1.5, -2.0  # products 1.5 * -0.0 and 0.0 * -2.0
+        x2[0::2] = -0.0
+        x1[:, 1::2] = -x1[:, 1::2]  # here the products are +0.0
+        x1, x2 = x1.reshape(shape), x2.reshape(shape)
+        assert np.all((x1.astype(np.float64) * x2) == 0.0)
+        assert_maps_bit_identical(x1, x2)
+        assert_maps_bit_identical(x2, x1)
+
     def test_real_budget_with_short_tail_block(self):
         # 1 MiB blocks of 6 rows at C=320, W=64; H = 37 leaves a 1-row tail
         x1, x2 = branch_pair(4, (320, 37, 64), 0.0)
@@ -196,11 +232,11 @@ class TestFusionBitIdentical:
             res = merge_pair(f1, f2, cfg)
             u1, u2 = unmerge_pair(f1, f2, res, cfg)
         eff, codes = ref_merge(x1, x2, delta)
-        assert np.array_equal(res.f_eff.data, eff)
+        assert same_bytes(res.f_eff.data, eff)
         assert np.array_equal(res.selection.codes, codes)
         e1, e2 = ref_unmerge(x1, x2, eff, codes, renormalize)
-        assert np.array_equal(u1.data, e1)
-        assert np.array_equal(u2.data, e2)
+        assert same_bytes(u1.data, e1)
+        assert same_bytes(u2.data, e2)
 
     @pytest.mark.parametrize("renormalize", [True, False])
     def test_zero_sigma_winner_and_loser(self, renormalize):
@@ -212,8 +248,8 @@ class TestFusionBitIdentical:
         res = merge_pair(f1, f2, cfg)
         u1, u2 = unmerge_pair(f1, f2, res, cfg)
         e1, e2 = ref_unmerge(x1, x2, res.f_eff.data, res.selection.codes, renormalize)
-        assert np.array_equal(u1.data, e1)
-        assert np.array_equal(u2.data, e2)
+        assert same_bytes(u1.data, e1)
+        assert same_bytes(u2.data, e2)
 
     def test_unmerge_rejects_sigma_of_another_shape(self):
         f1, f2 = (FeatureMap(x) for x in branch_pair(5, (3, 4, 4), 0.0))

@@ -1,7 +1,10 @@
 import json
 import struct
+import tracemalloc
+import warnings
 
 import numpy as np
+import pytest
 
 from maxfusion import (
     FeatureMap,
@@ -11,6 +14,7 @@ from maxfusion import (
     read_tensor,
     scenario_to_dict,
 )
+from maxfusion import simulator
 from maxfusion.cli import main
 
 GOLDEN_CONTRADICTORY_METRICS = (
@@ -162,6 +166,79 @@ class TestSimulateCommand:
 
     def test_missing_scenario_and_preset_rejected(self, tmp_path):
         assert main(["simulate", "--out", str(tmp_path)]) == 2
+
+    def test_diverging_sampler_names_step_and_branch(self, tmp_path, capsys):
+        cfg = scenario_to_dict(preset_scenario("contradictory"))
+        cfg["guidance_weight"] = 1e4
+        p = tmp_path / "scn.json"
+        p.write_text(json.dumps(cfg))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning may leak out
+            code = main(["simulate", "--scenario", str(p), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: sampler diverged at step t=")
+        assert "in branch 0:" in err
+        assert not (tmp_path / "o" / "sample.mxft").exists()
+
+
+def _scenario_over_bound(field):
+    """A small scenario dict with one size field just over its bound."""
+    d = {"height": 4, "width": 4}
+    if field == "schedule.steps":
+        d["schedule"] = {"steps": simulator.MAX_STEPS + 1}
+    elif field == "schedule.betas":
+        d["schedule"] = {"betas": [0.01] * (simulator.MAX_STEPS + 1)}
+    elif field == "channels":
+        d["channels"] = simulator.MAX_CHANNELS + 1
+    elif field in ("height", "width"):
+        d[field] = simulator.MAX_GRID_SIDE + 1
+    else:  # every side within bounds, their product just over
+        d["height"] = d["width"] = simulator.MAX_GRID_SIDE
+        d["channels"] = simulator.MAX_FEATURE_VALUES // simulator.MAX_GRID_SIDE**2 + 1
+    return d
+
+
+BOUNDED_FIELDS = ("schedule.steps", "schedule.betas", "channels", "height", "width", "product")
+
+
+class TestScenarioSizeBounds:
+    @pytest.mark.parametrize("field", BOUNDED_FIELDS)
+    def test_rejected_before_allocating(self, field):
+        d = _scenario_over_bound(field)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as info:
+                simulator.scenario_from_dict(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        name = "'channels' * 'height' * 'width'" if field == "product" else f"'{field}'"
+        assert name in str(info.value)
+
+    @pytest.mark.parametrize("field", BOUNDED_FIELDS)
+    def test_cli_exits_2_naming_field(self, field, tmp_path, capsys):
+        p = tmp_path / "scn.json"
+        p.write_text(json.dumps(_scenario_over_bound(field)))
+        assert main(["simulate", "--scenario", str(p), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: scenario field")
+        assert ("channels" if field == "product" else field) in err
+
+    def test_values_at_the_bounds_accepted(self):
+        side, steps = simulator.MAX_GRID_SIDE, simulator.MAX_STEPS
+        scn = simulator.scenario_from_dict(
+            {"height": side, "width": 1, "channels": 2, "schedule": {"steps": steps}}
+        )
+        assert (scn.height, scn.schedule.steps) == (side, steps)
+        scn = simulator.scenario_from_dict(
+            {"height": 1, "width": side, "channels": simulator.MAX_CHANNELS}
+        )
+        assert (scn.width, scn.channels) == (side, simulator.MAX_CHANNELS)
+        betas = np.linspace(1e-4, 0.02, steps).tolist()
+        d = {"height": 1, "width": 1, "schedule": {"betas": betas}}
+        assert simulator.scenario_from_dict(d).schedule.steps == steps
 
 
 class TestAblateCommand:

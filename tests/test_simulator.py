@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -324,6 +325,23 @@ def replace_strategy(report, name):
 
 def reversed_trace_steps(report):
     return report.trace
+
+
+class TestDivergence:
+    @pytest.mark.parametrize("strategy", ["maxfusion", "naive", "max_select", "single"])
+    def test_overflowing_encoding_names_step_and_branch(self, strategy):
+        scn = preset_scenario("contradictory", strategy=strategy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"diverged at step t=\d+ in branch [01]: non-finite"):
+                sample(replace(scn, guidance_weight=1e4))
+
+    def test_non_finite_final_sample_reported(self):
+        scn = replace(tiny_scenario(), strategy="unconditional", prior_std=1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="diverged: the final sample is non-finite"):
+                sample(scn)
 
 
 class TestConditionError:

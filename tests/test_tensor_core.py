@@ -1,11 +1,13 @@
 import io
 import struct
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maxfusion import merge_pair, unmerge_pair
 from maxfusion.tensor_core import (
     AVERAGED,
     FeatureMap,
@@ -20,6 +22,19 @@ from maxfusion.tensor_core import (
     write_selection_pgm,
     write_tensor,
 )
+
+
+class _Pipe(io.RawIOBase):
+    """A readable stream that cannot seek, like a pipe."""
+
+    def __init__(self, raw):
+        self._src = io.BytesIO(raw)
+
+    def readable(self):
+        return True
+
+    def readinto(self, b):
+        return self._src.readinto(b)
 
 
 def roundtrip(fm: FeatureMap) -> FeatureMap:
@@ -106,18 +121,8 @@ class TestMxftFormat:
             read_tensor(io.BytesIO(header + bytes(8)))
 
     def test_oversized_header_on_unseekable_stream(self):
-        class Pipe(io.RawIOBase):
-            def __init__(self, raw):
-                self._src = io.BytesIO(raw)
-
-            def readable(self):
-                return True
-
-            def readinto(self, b):
-                return self._src.readinto(b)
-
         header = struct.pack("<4sIIIIII", b"MXFT", 1, 0, 3, 65535, 65535, 65535)
-        stream = io.BufferedReader(Pipe(header + bytes(12)))
+        stream = io.BufferedReader(_Pipe(header + bytes(12)))
         assert not stream.seekable()
         with pytest.raises(TensorFormatError, match=r"dims \(65535, 65535, 65535\).* got 12"):
             read_tensor(stream)
@@ -174,6 +179,12 @@ class TestSpatialMap:
         assert back.shape == (2, 2)
         np.testing.assert_array_equal(back.data, sm.data)
 
+    def test_export_beyond_float32_range_rejected_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite value at index 1"):
+                write_tensor(SpatialMap([[1.0, -1e39]]), io.BytesIO())
+
     def test_from_feature_map_requires_single_channel(self):
         with pytest.raises(ValueError, match="C=1"):
             SpatialMap.from_feature_map(make_feature_map(2, 1, 1, [0.0, 1.0]))
@@ -214,3 +225,118 @@ class TestSelectionMask:
         mask = SelectionMask(np.array([[AVERAGED, 1]]), n_branches=2)
         tags = mask.tag_map()
         np.testing.assert_array_equal(tags.data[0], [[-1.0, 1.0]])
+
+
+def _stream(kind, raw, tmp_path):
+    """The bytes as an in-memory, an on-disk or an unseekable stream."""
+    if kind == "bytesio":
+        return io.BytesIO(raw)
+    if kind == "pipe":
+        return io.BufferedReader(_Pipe(raw))
+    path = tmp_path / "t.mxft"
+    path.write_bytes(raw)
+    return open(path, "rb")
+
+
+STREAM_KINDS = ("bytesio", "file", "pipe")
+
+
+class TestZeroCopyIO:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        c=st.integers(1, 9),
+        h=st.integers(1, 9),
+        w=st.integers(1, 9),
+        seed=st.integers(0, 2**31),
+    )
+    def test_written_bytes_are_header_plus_le_f4_payload(self, c, h, w, seed):
+        rng = np.random.default_rng(seed)
+        data = rng.normal(size=(c, h, w)).astype(np.float32)
+        spatial = rng.normal(size=(h, w))
+        for tensor, payload in (
+            (FeatureMap(data), data.astype("<f4").tobytes()),
+            (SpatialMap(spatial), spatial.astype(np.float32).astype("<f4").tobytes()),
+        ):
+            dims = tensor.data.shape if isinstance(tensor, FeatureMap) else (1, h, w)
+            header = struct.pack("<4sIIIIII", b"MXFT", 1, 0, 3, *dims)
+            buf = io.BytesIO()
+            assert write_tensor(tensor, buf) == len(header) + len(payload)
+            assert buf.getvalue() == header + payload
+
+    @pytest.mark.parametrize("kind", STREAM_KINDS)
+    def test_read_gives_equal_read_only_maps(self, kind, tmp_path):
+        fm = FeatureMap(np.random.default_rng(1).normal(size=(3, 4, 5)).astype(np.float32))
+        buf = io.BytesIO()
+        write_tensor(fm, buf)
+        with _stream(kind, buf.getvalue(), tmp_path) as stream:
+            back = read_tensor(stream)
+        assert back == fm
+        assert back.data.dtype == np.float32
+        assert not back.data.flags.writeable
+        with pytest.raises(ValueError):
+            back.data[0, 0, 0] = 1.0
+
+    def test_read_does_not_alias_the_callers_buffer(self):
+        fm = make_feature_map(2, 1, 2, [1.0, 2.0, 3.0, 4.0])
+        buf = io.BytesIO()
+        write_tensor(fm, buf)
+        raw = bytearray(buf.getvalue())
+        back = read_tensor(io.BytesIO(raw))
+        raw[HEADER_SIZE:] = bytes(len(raw) - HEADER_SIZE)
+        assert back == fm
+        assert not np.shares_memory(back.data, np.frombuffer(raw, dtype=np.uint8))
+
+    @pytest.mark.parametrize("kind", STREAM_KINDS)
+    def test_truncated_payload_message_on_every_stream(self, kind, tmp_path):
+        buf = io.BytesIO()
+        write_tensor(make_feature_map(2, 2, 2, np.arange(8)), buf)
+        with _stream(kind, buf.getvalue()[:-4], tmp_path) as stream:
+            with pytest.raises(
+                TensorFormatError,
+                match=r"truncated payload for dims \(2, 2, 2\): expected 32 bytes, got 28",
+            ):
+                read_tensor(stream)
+
+    def test_oversized_header_on_a_real_file(self, tmp_path):
+        header = struct.pack("<4sIIIIII", b"MXFT", 1, 0, 3, 65535, 65535, 65535)
+        with _stream("file", header + bytes(8), tmp_path) as stream:
+            with pytest.raises(TensorFormatError, match=r"dims \(65535, 65535, 65535\).* got 8"):
+                read_tensor(stream)
+
+
+class TestAdoptionKeepsChecks:
+    def test_overflowing_loser_rescale_still_raises_non_finite(self):
+        # the winner sits near 1e38 with a tiny spread; the loser's spread is
+        # 1e4 times larger, so its rescaled vector overflows float32
+        big = np.float32(1e38)
+        up = np.nextafter(big, np.float32(np.inf))
+        f1 = FeatureMap(np.array([big, up, big, up], dtype=np.float32).reshape(4, 1, 1))
+        f2 = FeatureMap(np.array([1e35, -1e35, 1e35, -1e35], dtype=np.float32).reshape(4, 1, 1))
+        res = merge_pair(f1, f2)
+        assert res.selection.codes[0, 0] == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite value at index 0"):
+                unmerge_pair(f1, f2, res)
+
+    def test_public_constructors_copy(self):
+        src3 = np.ones((2, 2, 2), dtype=np.float32)
+        src2 = np.ones((2, 2))
+        codes = np.zeros((2, 2), dtype=np.int32)
+        fm, sm, mask = FeatureMap(src3), SpatialMap(src2), SelectionMask(codes, 2)
+        src3[0, 0, 0] = src2[0, 0] = 99.0
+        codes[0, 0] = 1
+        assert fm.data[0, 0, 0] == 1.0 and sm.data[0, 0] == 1.0 and mask.codes[0, 0] == 0
+        for arr in (src3, src2, codes):
+            assert arr.flags.writeable
+
+    def test_adopted_array_is_frozen_and_checked(self):
+        arr = np.ones((1, 2, 2), dtype=np.float32)
+        fm = FeatureMap._adopt(arr)
+        assert fm.data is arr and not arr.flags.writeable
+        with pytest.raises(ValueError, match="non-finite value at index 1"):
+            FeatureMap._adopt(np.array([[[0.0, np.inf]]], dtype=np.float32))
+        with pytest.raises(ValueError, match="expected an \\(H, W\\) array"):
+            SpatialMap._adopt(np.ones(3))
+        with pytest.raises(ValueError, match="branch index"):
+            SelectionMask._adopt(np.array([[2]], dtype=np.int32), 2)
