@@ -14,7 +14,7 @@ import numpy as np
 
 from maxfusion import condition_error, preset_scenario, sample
 
-scn = preset_scenario("contradictory", seed=3)
+scn = replace(preset_scenario("contradictory"), seed=3)
 
 print(f"grid {scn.height}x{scn.width}, {scn.schedule.steps} steps, "
       f"guidance weight {scn.guidance_weight}, delta {scn.fusion.delta}")

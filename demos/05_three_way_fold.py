@@ -6,9 +6,11 @@ fused feature.  Each fold step unmerges too, so every branch leaves
 with an updated feature whose local std matches what it brought in.
 """
 
+from dataclasses import replace
+
 from maxfusion import channel_std_map, maxfusion_fold, preset_scenario, sample
 
-scn = preset_scenario("three_way", seed=11)
+scn = replace(preset_scenario("three_way"), seed=11)
 rep = sample(scn, record_trace=True)
 
 print(f"three branches, targets +2 / -2 / +1, {scn.schedule.steps} steps")

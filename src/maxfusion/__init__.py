@@ -22,7 +22,7 @@ from .tensor_core import (
     write_selection_pgm,
     write_tensor,
 )
-from .stats import StatsConfig, channel_std_map, correlation_map, normalized_std_map
+from .stats import channel_std_map, correlation_map, normalized_std_map
 from .fusion import (
     FoldResult,
     FusionConfig,
@@ -73,7 +73,6 @@ __all__ = [
     "SelectionMask",
     "SelectionStats",
     "SpatialMap",
-    "StatsConfig",
     "TensorFormatError",
     "analytic_score",
     "branch_embedding",

@@ -17,7 +17,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .fusion import FusionConfig, maxfusion_fold
+from .fusion import MAX_SELECT_DELTA, FusionConfig, maxfusion_fold
 from .simulator import (
     PRESET_NAMES,
     RunReport,
@@ -88,14 +88,19 @@ def cmd_stats(args) -> int:
     return 0
 
 
+def _fusion_from_args(cfg: FusionConfig, args) -> FusionConfig:
+    if args.delta is not None:
+        cfg = replace(cfg, delta=args.delta)
+    if args.no_renorm:
+        cfg = replace(cfg, renormalize=False)
+    return cfg
+
+
 def cmd_fuse(args) -> int:
     if len(args.inputs) < 2:
         raise ValueError(f"fuse needs at least 2 tensor files, got {len(args.inputs)}")
     maps = [_load_feature(p) for p in args.inputs]
-    cfg = FusionConfig(
-        delta=args.delta if args.delta is not None else 0.7,
-        renormalize=not args.no_renorm,
-    )
+    cfg = _fusion_from_args(FusionConfig(), args)
     fold = maxfusion_fold(maps, cfg)
     out = _out_dir(args)
     _write(out, "f_eff.mxft", write_tensor, fold.f_eff)
@@ -127,21 +132,15 @@ def cmd_fuse(args) -> int:
 
 
 def _scenario_from_args(args) -> Scenario:
-    if getattr(args, "scenario", None):
+    if args.scenario:
         with open(args.scenario, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        scn = scenario_from_dict(data)
-    elif getattr(args, "preset", None):
+            scn = scenario_from_dict(json.load(fh))
+    elif args.preset:
         scn = preset_scenario(args.preset)
     else:
         raise ValueError("one of --preset or --scenario is required")
-    if getattr(args, "delta", None) is not None:
-        scn = replace(scn, fusion=replace(scn.fusion, delta=args.delta))
-    if getattr(args, "no_renorm", False):
-        scn = replace(scn, fusion=replace(scn.fusion, renormalize=False))
-    if getattr(args, "seed", None) is not None:
-        scn = replace(scn, seed=args.seed)
-    return scn
+    seed = scn.seed if args.seed is None else args.seed
+    return replace(scn, fusion=_fusion_from_args(scn.fusion, args), seed=seed)
 
 
 def _effective_delta(scn: Scenario) -> str:
@@ -150,7 +149,7 @@ def _effective_delta(scn: Scenario) -> str:
     if scn.strategy == "naive":
         return _fmt(-1.0)
     if scn.strategy == "max_select":
-        return _fmt(2.0)
+        return _fmt(MAX_SELECT_DELTA)
     return ""
 
 
@@ -296,12 +295,16 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def _add_fusion_flags(sp) -> None:
+    sp.add_argument("--delta", type=float, default=None, help=f"correlation gate threshold (default {FusionConfig.delta})")
+    sp.add_argument("--no-renorm", action="store_true", help="disable loser std renormalization in unmerge")
+
+
 def _add_scenario_flags(sp) -> None:
     sp.add_argument("--preset", default=None, help=f"named scenario: {', '.join(PRESET_NAMES)}")
     sp.add_argument("--scenario", default=None, help="path to a scenario JSON file")
-    sp.add_argument("--delta", type=float, default=None, help="correlation gate threshold (default 0.7)")
-    sp.add_argument("--no-renorm", action="store_true", help="disable loser std renormalization in unmerge")
-    sp.add_argument("--seed", type=int, default=None, help="override the run seed (default 42)")
+    _add_fusion_flags(sp)
+    sp.add_argument("--seed", type=int, default=None, help=f"override the run seed (default {Scenario.seed})")
     sp.add_argument("--out", default="./out", help="output directory (default ./out)")
 
 
@@ -320,8 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     fu = sub.add_parser("fuse", help="merge 2+ tensors, writing fused and unmerged outputs")
     fu.add_argument("inputs", nargs="+", metavar="TENSOR", help="2 or more MXFT tensor files")
-    fu.add_argument("--delta", type=float, default=None)
-    fu.add_argument("--no-renorm", action="store_true")
+    _add_fusion_flags(fu)
     fu.add_argument("--out", default="./out")
     fu.set_defaults(func=cmd_fuse)
 

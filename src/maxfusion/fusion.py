@@ -33,14 +33,15 @@ every step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .stats import StatsConfig, _normalize, _pair_pass
+from .stats import EPSILON_NORM, _normalize, _pair_pass
 from .tensor_core import AVERAGED, FeatureMap, SelectionMask, SpatialMap
 
-_TIE_BREAKS = ("lowest_index",)
+#: A gate threshold above rho's ceiling of 1, so the merge never averages.
+MAX_SELECT_DELTA = 2.0
 
 
 @dataclass(frozen=True)
@@ -49,22 +50,21 @@ class FusionConfig:
 
     delta: correlation gate threshold.  Values in [-1, 1] are meaningful;
     sentinels outside that range force one path (-1 always averages,
-    2 never does).
+    MAX_SELECT_DELTA never does).
     renormalize: apply the loser std-rescale during unmerge.
-    tie_break: winner rule on exact sigma_hat ties (only lowest index
-    is supported; the field exists to make the rule explicit).
+    epsilon_norm: channel-vector norms and sigma spatial sums below this
+    threshold are treated as zero signal.
     """
 
     delta: float = 0.7
     renormalize: bool = True
-    tie_break: str = "lowest_index"
-    stats: StatsConfig = field(default_factory=StatsConfig)
+    epsilon_norm: float = EPSILON_NORM
 
     def __post_init__(self):
         if not np.isfinite(self.delta):
             raise ValueError(f"delta must be finite, got {self.delta}")
-        if self.tie_break not in _TIE_BREAKS:
-            raise ValueError(f"unsupported tie_break {self.tie_break!r}; choose from {_TIE_BREAKS}")
+        if not (self.epsilon_norm > 0):
+            raise ValueError(f"epsilon_norm must be > 0, got {self.epsilon_norm}")
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,7 @@ def merge_pair(f1: FeatureMap, f2: FeatureMap, cfg: FusionConfig | None = None) 
     """
     cfg = cfg or FusionConfig()
     _require_same_shape((f1, f2))
-    eps = cfg.stats.epsilon_norm
+    eps = cfg.epsilon_norm
     rho, sigma1, sigma2, avg = _pair_pass(f1.data, f2.data, eps)
     s1_hat, s2_hat = _normalize(sigma1, eps), _normalize(sigma2, eps)
 
@@ -152,11 +152,11 @@ def pure_max_select(
 ) -> PairFusionResult:
     """Variance selection applied everywhere: the gate never averages.
 
-    This is merge_pair with delta = 2, above the rho ceiling; the
+    This is merge_pair with delta = MAX_SELECT_DELTA; the
     scalar-loop oracles, not a second assembly, check that selection
     independently.
     """
-    return merge_pair(f1, f2, replace(cfg or FusionConfig(), delta=2.0))
+    return merge_pair(f1, f2, replace(cfg or FusionConfig(), delta=MAX_SELECT_DELTA))
 
 
 def unmerge_pair(
@@ -188,7 +188,7 @@ def unmerge_pair(
             raise ValueError(f"{name} shape mismatch: {m.shape} vs {spatial}")
     codes = result.selection.codes
     eff = result.f_eff.data
-    eps = cfg.stats.epsilon_norm
+    eps = cfg.epsilon_norm
     datas = (f1.data, f2.data)
     sigmas = tuple(s.data for s in result.sigma)
     out = []

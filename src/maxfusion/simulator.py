@@ -24,7 +24,7 @@ Branch embeddings are built from Hadamard directions when the channel
 count is a power of two, making their pairwise geometry exact: with the
 default amplitude 0.5 two branch embeddings have cosine similarity
 exactly 0.8, so overlapping same-target branches land above the default
-correlation gate of 0.7.
+correlation gate (FusionConfig.delta).
 
 Every run is deterministic given its seed: one generator is consumed in
 a fixed order (initial state first, then one noise field per step).
@@ -35,14 +35,21 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
-from .fusion import FoldResult, FusionConfig, maxfusion_fold, naive_average
+from .fusion import MAX_SELECT_DELTA, FoldResult, FusionConfig, maxfusion_fold, naive_average
 from .tensor_core import FeatureMap, SelectionMask, _freeze
 
 STRATEGIES = ("maxfusion", "naive", "max_select", "single", "unconditional")
-PRESET_NAMES = ("contradictory", "complementary", "three_way")
+#: Each preset branch: its mask rectangle (rows r0:r1, columns c0:c1) and constant target.
+_PRESET_BRANCHES = {
+    "contradictory": (((2, 14, 1, 7), 2.0), ((2, 14, 9, 15), -2.0)),
+    "complementary": (((4, 12, 4, 12), 1.5), ((4, 12, 4, 12), 1.5)),
+    "three_way": (((1, 15, 0, 5), 2.0), ((1, 15, 6, 10), -2.0), ((1, 15, 11, 16), 1.0)),
+}
+PRESET_NAMES = tuple(_PRESET_BRANCHES)
 
 #: Upper bounds on the sizes a scenario JSON controls, checked before
 #: anything is allocated.
@@ -62,7 +69,7 @@ class NoiseSchedule:
         if betas.ndim != 1 or betas.size < 1:
             raise ValueError("betas must be a non-empty 1-D sequence")
         if not ((betas > 0.0) & (betas < 1.0)).all():
-            raise ValueError("every beta must lie strictly in (0, 1)")
+            raise ValueError("every value of betas must lie strictly in (0, 1)")
         self.betas = _freeze(betas.copy())
         self.alphas = _freeze(1.0 - betas)
         alpha_bar = np.cumprod(self.alphas)
@@ -144,7 +151,7 @@ class Branch:
             )
         if emb.ndim != 1:
             raise ValueError("branch field 'embedding' must be a 1-D C-vector")
-        if not np.isfinite(mask).all() or mask.min() < 0.0 or mask.max() > 1.0:
+        if not ((mask >= 0.0) & (mask <= 1.0)).all():
             raise ValueError("branch field 'mask' must lie in [0, 1]")
         if not np.isfinite(target).all() or not np.isfinite(emb).all():
             raise ValueError("branch fields must be finite")
@@ -188,6 +195,8 @@ class Scenario:
             raise ValueError("scenario field 'prior_mean' must be finite")
         if not (np.isfinite(self.prior_std) and self.prior_std >= 0):
             raise ValueError(f"scenario field 'prior_std' must be >= 0, got {self.prior_std}")
+        if self.seed < 0:
+            raise ValueError(f"scenario field 'seed' must be >= 0, got {self.seed}")
         if self.strategy not in STRATEGIES:
             raise ValueError(
                 f"scenario field 'strategy' must be one of {STRATEGIES}, got {self.strategy!r}"
@@ -203,8 +212,8 @@ class Scenario:
         )
         if readout.shape != (self.channels,):
             raise ValueError(
-                f"scenario field 'readout' must have length {self.channels}, "
-                f"got shape {readout.shape}"
+                f"scenario field 'readout' length must equal scenario channels "
+                f"{self.channels}, got shape {readout.shape}"
             )
         object.__setattr__(self, "readout", _freeze(readout.copy()))
         for i, br in enumerate(self.branches):
@@ -221,7 +230,7 @@ class Scenario:
             dot = float(self.readout @ br.embedding)
             if abs(dot - 1.0) > 1e-6:
                 raise ValueError(
-                    f"branch {i} field 'embedding' violates the read-out identity: "
+                    f"branch {i} field 'embedding' violates the read-out identity with 'readout': "
                     f"<u, w> = {dot!r}, expected 1 within 1e-6"
                 )
 
@@ -339,7 +348,7 @@ def decode_guidance(f_eff: FeatureMap, readout: np.ndarray) -> np.ndarray:
 def _apply_strategy(scenario: Scenario, feats: tuple[FeatureMap, ...]):
     strat = scenario.strategy
     if strat in ("maxfusion", "max_select"):
-        cfg = scenario.fusion if strat == "maxfusion" else replace(scenario.fusion, delta=2.0)
+        cfg = scenario.fusion if strat == "maxfusion" else replace(scenario.fusion, delta=MAX_SELECT_DELTA)
         if len(feats) == 1:
             return feats[0], None, ()
         fold = maxfusion_fold(list(feats), cfg)
@@ -491,14 +500,7 @@ def _rect(h: int, w: int, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
     return m
 
 
-def preset_scenario(
-    name: str,
-    *,
-    seed: int = 42,
-    delta: float = 0.7,
-    renormalize: bool = True,
-    strategy: str = "maxfusion",
-) -> Scenario:
+def preset_scenario(name: str) -> Scenario:
     """Named 16x16 scenarios covering the interesting fusion regimes.
 
     contradictory: two branches with disjoint rectangular masks pulling
@@ -509,64 +511,23 @@ def preset_scenario(
     parallel up to embedding geometry (cosine 0.8), exercising the
     averaging path at the default gate.
     three_way: three disjoint branches for the incremental fold.
+
+    Every other field keeps its Scenario default (see dataclasses.replace).
     """
     if name not in PRESET_NAMES:
         raise ValueError(
             f"unknown preset {name!r}; valid presets: {', '.join(PRESET_NAMES)}"
         )
     h = w = 16
-    c = 8
-    common = dict(
-        height=h,
-        width=w,
-        channels=c,
-        schedule=NoiseSchedule.linear(),
-        guidance_weight=1.5,
-        prior_mean=0.0,
-        prior_std=1.0,
-        seed=seed,
-        fusion=FusionConfig(delta=delta, renormalize=renormalize),
-        strategy=strategy,
-    )
-    if name == "contradictory":
-        branches = (
-            Branch(
-                mask=_rect(h, w, 2, 14, 1, 7),
-                target=np.full((h, w), 2.0),
-                embedding=branch_embedding(c, 0),
-            ),
-            Branch(
-                mask=_rect(h, w, 2, 14, 9, 15),
-                target=np.full((h, w), -2.0),
-                embedding=branch_embedding(c, 1),
-            ),
+    branches = [
+        Branch(
+            mask=_rect(h, w, *rect),
+            target=np.full((h, w), target),
+            embedding=branch_embedding(Scenario.channels, i),
         )
-    elif name == "complementary":
-        overlap = _rect(h, w, 4, 12, 4, 12)
-        target = np.full((h, w), 1.5)
-        branches = (
-            Branch(mask=overlap, target=target, embedding=branch_embedding(c, 0)),
-            Branch(mask=overlap, target=target, embedding=branch_embedding(c, 1)),
-        )
-    else:
-        branches = (
-            Branch(
-                mask=_rect(h, w, 1, 15, 0, 5),
-                target=np.full((h, w), 2.0),
-                embedding=branch_embedding(c, 0),
-            ),
-            Branch(
-                mask=_rect(h, w, 1, 15, 6, 10),
-                target=np.full((h, w), -2.0),
-                embedding=branch_embedding(c, 1),
-            ),
-            Branch(
-                mask=_rect(h, w, 1, 15, 11, 16),
-                target=np.full((h, w), 1.0),
-                embedding=branch_embedding(c, 2),
-            ),
-        )
-    return Scenario(branches=branches, **common)
+        for i, (rect, target) in enumerate(_PRESET_BRANCHES[name])
+    ]
+    return Scenario(height=h, width=w, branches=branches)
 
 
 def scenario_to_dict(s: Scenario) -> dict:
@@ -592,7 +553,7 @@ def scenario_to_dict(s: Scenario) -> dict:
         "fusion": {
             "delta": s.fusion.delta,
             "renormalize": s.fusion.renormalize,
-            "epsilon_norm": s.fusion.stats.epsilon_norm,
+            "epsilon_norm": s.fusion.epsilon_norm,
         },
         "strategy": s.strategy,
         "single_branch": s.single_branch,
@@ -600,94 +561,125 @@ def scenario_to_dict(s: Scenario) -> dict:
     }
 
 
-def _bounded_int(value, name: str, limit: int) -> int:
+def _bad(path: str, want: str, value) -> ValueError:
+    shown = {list: "an array", dict: "an object"}.get(type(value)) or repr(value)
+    return ValueError(f"scenario field '{path}' must be {want}, got {shown}")
+
+
+def _integer(value, path: str, lo: int = 0, hi: int | None = None) -> int:
+    """A JSON integer in [lo, hi]; bools, floats such as 16.5 and strings are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise _bad(path, "an integer", value)
+    if value < lo or (hi is not None and value > hi):
+        raise _bad(path, f">= {lo}" if hi is None else f"in [{lo}, {hi}]", value)
+    return value
+
+
+def _number(value, path: str, lo: float = -math.inf, hi: float = math.inf) -> float:
+    """A finite JSON number strictly between lo and hi; bools and strings are rejected."""
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
     try:
-        n = int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"scenario field '{name}' must be an integer, got {value!r}") from None
-    if n > limit:
-        raise ValueError(f"scenario field '{name}' must be <= {limit}, got {n}")
-    return n
+        x = float(value) if is_number else math.nan
+    except OverflowError:  # an integer past the float range
+        x = math.nan
+    if not lo < x < hi:
+        bounded = math.isfinite(lo) or math.isfinite(hi)
+        raise _bad(path, f"a number in ({lo}, {hi})" if bounded else "a finite number", value)
+    return x
+
+
+def _typed(value, path: str, kind: type, want: str):
+    """A JSON value of one type, passed through unchanged."""
+    if not isinstance(value, kind):
+        raise _bad(path, want, value)
+    return value
+
+
+_boolean = partial(_typed, kind=bool, want="true or false")
+_string = partial(_typed, kind=str, want="a string")
+_object = partial(_typed, kind=dict, want="an object")
+_array = partial(_typed, kind=list, want="an array")
+
+
+def _float_array(value, path: str) -> np.ndarray:
+    """A rectangular (nested) JSON array of finite numbers, as float64."""
+    try:
+        arr = np.array(value) if isinstance(value, list) else None
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+        raise _bad(path, "a rectangular array of finite numbers", value)
+    return arr.astype(np.float64)
+
+
+def _present(d: dict, prefix: str, converters: dict, required=()) -> dict:
+    """Convert the keys of d that converters names; absent keys keep their defaults."""
+    for key in required:
+        if key not in d:
+            raise ValueError(f"scenario field '{prefix}{key}' is required")
+    return {key: conv(d[key], prefix + key) for key, conv in converters.items() if key in d}
+
+
+_SCENARIO_FIELDS = {
+    "height": partial(_integer, lo=1, hi=MAX_GRID_SIDE),
+    "width": partial(_integer, lo=1, hi=MAX_GRID_SIDE),
+    "channels": partial(_integer, lo=1, hi=MAX_CHANNELS),
+    "guidance_weight": _number,
+    "prior_mean": _number,
+    "prior_std": _number,
+    "seed": _integer,
+    "strategy": _string,
+    "single_branch": _integer,
+    "readout": _float_array,
+}
+_LINEAR_SCHEDULE_FIELDS = {
+    "steps": partial(_integer, lo=1, hi=MAX_STEPS),
+    "beta_start": partial(_number, lo=0.0, hi=1.0),
+    "beta_end": partial(_number, lo=0.0, hi=1.0),
+}
+_FUSION_FIELDS = {"delta": _number, "renormalize": _boolean, "epsilon_norm": _number}
+_BRANCH_REQUIRED = ("mask", "target", "embedding")
+_BRANCH_FIELDS = {**dict.fromkeys(_BRANCH_REQUIRED, _float_array), "strength": _number}
 
 
 def scenario_from_dict(d: dict) -> Scenario:
     """Build and validate a Scenario from a JSON-shaped dict.
 
+    Only the keys present are converted, each by the converter of its
+    JSON type, and a wrong type or range names the dotted field path
+    (``fusion.delta``, ``branches[0].mask``).  Absent keys take the
+    Scenario, FusionConfig, NoiseSchedule.linear and Branch defaults.
     The schedule accepts either an explicit {"betas": [...]} list or
     linear parameters {"steps", "beta_start", "beta_end"}.  Step count,
     grid and channel count are bounded (MAX_STEPS, MAX_GRID_SIDE,
     MAX_CHANNELS, MAX_FEATURE_VALUES) before anything is allocated.
     """
-    for req in ("height", "width"):
-        if req not in d:
-            raise ValueError(f"scenario field '{req}' is required")
-    height = _bounded_int(d["height"], "height", MAX_GRID_SIDE)
-    width = _bounded_int(d["width"], "width", MAX_GRID_SIDE)
-    channels = _bounded_int(d.get("channels", 8), "channels", MAX_CHANNELS)
+    if not isinstance(d, dict):
+        raise ValueError(f"a scenario must be a JSON object, got {type(d).__name__}")
+    kw = _present(d, "", _SCENARIO_FIELDS, required=("height", "width"))
+    channels, height, width = kw.get("channels", Scenario.channels), kw["height"], kw["width"]
     if channels * height * width > MAX_FEATURE_VALUES:
         raise ValueError(
             f"scenario fields 'channels' * 'height' * 'width' must be <= "
             f"{MAX_FEATURE_VALUES}, got {channels} * {height} * {width}"
         )
-    sched_d = d.get("schedule", {})
-    if not isinstance(sched_d, dict):
-        raise ValueError("scenario field 'schedule' must be an object")
-    if "betas" in sched_d:
-        betas = sched_d["betas"]
-        if not isinstance(betas, list) or len(betas) > MAX_STEPS:
-            raise ValueError(
-                f"scenario field 'schedule.betas' must be a list of <= {MAX_STEPS} values"
-            )
-        schedule = NoiseSchedule(betas)
-    else:
-        schedule = NoiseSchedule.linear(
-            steps=_bounded_int(sched_d.get("steps", 50), "schedule.steps", MAX_STEPS),
-            beta_start=float(sched_d.get("beta_start", 1e-4)),
-            beta_end=float(sched_d.get("beta_end", 0.02)),
-        )
-    fusion_d = d.get("fusion", {})
-    if not isinstance(fusion_d, dict):
-        raise ValueError("scenario field 'fusion' must be an object")
-    stats_kwargs = {}
-    if "epsilon_norm" in fusion_d:
-        from .stats import StatsConfig
-
-        stats_kwargs["stats"] = StatsConfig(epsilon_norm=float(fusion_d["epsilon_norm"]))
-    fusion = FusionConfig(
-        delta=float(fusion_d.get("delta", 0.7)),
-        renormalize=bool(fusion_d.get("renormalize", True)),
-        **stats_kwargs,
-    )
-    branch_dicts = d.get("branches", [])
-    if not isinstance(branch_dicts, list):
-        raise ValueError("scenario field 'branches' must be a list")
-    branches = []
-    for i, bd in enumerate(branch_dicts):
-        if not isinstance(bd, dict):
-            raise ValueError(f"branch {i} must be an object")
-        for req in ("mask", "target", "embedding"):
-            if req not in bd:
-                raise ValueError(f"branch {i} field '{req}' is required")
-        branches.append(
-            Branch(
-                mask=np.asarray(bd["mask"], dtype=np.float64),
-                target=np.asarray(bd["target"], dtype=np.float64),
-                embedding=np.asarray(bd["embedding"], dtype=np.float64),
-                strength=float(bd.get("strength", 1.0)),
-            )
-        )
-    return Scenario(
-        height=height,
-        width=width,
-        channels=channels,
-        schedule=schedule,
-        branches=branches,
-        guidance_weight=float(d.get("guidance_weight", 1.5)),
-        prior_mean=float(d.get("prior_mean", 0.0)),
-        prior_std=float(d.get("prior_std", 1.0)),
-        seed=int(d.get("seed", 42)),
-        fusion=fusion,
-        strategy=str(d.get("strategy", "maxfusion")),
-        single_branch=int(d.get("single_branch", 0)),
-        readout=d.get("readout"),
-    )
+    if "schedule" in d:
+        sched_d = _object(d["schedule"], "schedule")
+        if "betas" in sched_d:
+            betas = sched_d["betas"]
+            if isinstance(betas, list) and len(betas) > MAX_STEPS:
+                raise _bad("schedule.betas", f"an array of <= {MAX_STEPS} values", betas)
+            kw["schedule"] = NoiseSchedule(_float_array(betas, "schedule.betas"))
+        else:
+            fields = _present(sched_d, "schedule.", _LINEAR_SCHEDULE_FIELDS)
+            kw["schedule"] = NoiseSchedule.linear(**fields)
+    if "fusion" in d:
+        fields = _present(_object(d["fusion"], "fusion"), "fusion.", _FUSION_FIELDS)
+        kw["fusion"] = FusionConfig(**fields)
+    if "branches" in d:
+        kw["branches"] = []
+        for i, bd in enumerate(_array(d["branches"], "branches")):
+            bd = _object(bd, f"branches[{i}]")
+            fields = _present(bd, f"branches[{i}].", _BRANCH_FIELDS, required=_BRANCH_REQUIRED)
+            kw["branches"].append(Branch(**fields))
+    return Scenario(**kw)

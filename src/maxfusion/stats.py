@@ -32,28 +32,14 @@ assembled sigma map after the blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .tensor_core import FeatureMap, SpatialMap
 
 _BLOCK_BYTES = 1 << 20
 
-
-@dataclass(frozen=True)
-class StatsConfig:
-    """Numeric guards for degenerate inputs.
-
-    epsilon_norm: channel-vector norms and sigma spatial sums below this
-    threshold are treated as zero signal.
-    """
-
-    epsilon_norm: float = 1e-12
-
-    def __post_init__(self):
-        if not (self.epsilon_norm > 0):
-            raise ValueError(f"epsilon_norm must be > 0, got {self.epsilon_norm}")
+#: Channel-vector norms and sigma spatial sums below this are zero signal.
+EPSILON_NORM = 1e-12
 
 
 def _row_blocks(c: int, h: int, w: int) -> list[slice]:
@@ -139,31 +125,29 @@ def channel_std_map(f: FeatureMap) -> SpatialMap:
     return SpatialMap._adopt(_std_map(f.data))
 
 
-def normalized_std_map(f: FeatureMap, cfg: StatsConfig | None = None) -> SpatialMap:
+def normalized_std_map(f: FeatureMap) -> SpatialMap:
     """Sigma map divided by its spatial sum; entries sum to 1.
 
-    If the spatial sum is below epsilon_norm (an all-constant feature
+    If the spatial sum is below EPSILON_NORM (an all-constant feature
     map), returns the exactly uniform map 1/(H*W) instead of dividing
     by zero.
     """
-    cfg = cfg or StatsConfig()
-    return SpatialMap._adopt(_normalize(_std_map(f.data), cfg.epsilon_norm))
+    return SpatialMap._adopt(_normalize(_std_map(f.data), EPSILON_NORM))
 
 
-def correlation_map(f1: FeatureMap, f2: FeatureMap, cfg: StatsConfig | None = None) -> SpatialMap:
+def correlation_map(f1: FeatureMap, f2: FeatureMap) -> SpatialMap:
     """Cosine similarity of the two branches' channel vectors per location.
 
     Values are clamped into [-1, 1] to absorb float rounding.  If either
-    vector's norm is below epsilon_norm the location gets rho = 0: a
+    vector's norm is below EPSILON_NORM the location gets rho = 0: a
     zero feature carries no conditioning signal, so the gate should fall
     through to variance selection, where the zero branch loses.
     """
-    cfg = cfg or StatsConfig()
     if f1.shape != f2.shape:
         raise ValueError(f"shape mismatch: {f1.shape} vs {f2.shape}")
     rho = np.empty(f1.shape[1:])
     for rows in _row_blocks(*f1.shape):
         a = f1.data[:, rows].astype(np.float64)
         b = f2.data[:, rows].astype(np.float64)
-        rho[rows] = _cosine(a, b, cfg.epsilon_norm)
+        rho[rows] = _cosine(a, b, EPSILON_NORM)
     return SpatialMap._adopt(rho)

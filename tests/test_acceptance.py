@@ -199,7 +199,7 @@ def test_criterion_07_contradictory_directional_claim():
     start = time.perf_counter()
     fused, averaged = [], []
     for seed in range(50):
-        scn = preset_scenario("contradictory", seed=seed)
+        scn = replace(preset_scenario("contradictory"), seed=seed)
         fused.append(max(sample(scn).branch_mse))
         averaged.append(max(sample(replace(scn, strategy="naive")).branch_mse))
     mean_fused = float(np.mean(fused))

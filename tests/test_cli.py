@@ -182,6 +182,41 @@ class TestSimulateCommand:
         assert not (tmp_path / "o" / "sample.mxft").exists()
 
 
+BAD_SCENARIO_FIELDS = [
+    # (field the error names, key path set in the preset's JSON, value, extra flags)
+    ("guidance_weight", ("guidance_weight",), None, []),
+    ("prior_std", ("prior_std",), [], []),
+    ("branches[0].strength", ("branches", 0, "strength"), None, []),
+    ("branches[0].mask", ("branches", 0, "mask"), {}, []),
+    ("fusion.delta", ("fusion", "delta"), "abc", []),
+    ("single_branch", ("single_branch",), "x", []),
+    ("fusion.renormalize", ("fusion", "renormalize"), "no", []),
+    ("seed", ("seed",), 1.5, []),
+    ("height", ("height",), 16.5, []),
+    ("channels", ("channels",), 8.9, []),
+    ("seed", ("seed",), -1, []),
+    ("seed", (), None, ["--seed", "-1"]),
+    ("schedule.steps", ("schedule",), {"steps": 0}, []),
+]
+
+
+class TestScenarioFieldTypes:
+    @pytest.mark.parametrize("field, keys, value, flags", BAD_SCENARIO_FIELDS)
+    def test_bad_field_exits_2_naming_its_path(self, field, keys, value, flags, tmp_path, capsys):
+        d = scenario_to_dict(preset_scenario("contradictory"))
+        if keys:
+            node = d
+            for key in keys[:-1]:
+                node = node[key]
+            node[keys[-1]] = value
+        p = tmp_path / "scn.json"
+        p.write_text(json.dumps(d))
+        argv = ["simulate", "--scenario", str(p), "--out", str(tmp_path / "o"), *flags]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: scenario field '{field}' must be ")
+        assert not (tmp_path / "o").exists()
+
+
 def _scenario_over_bound(field):
     """A small scenario dict with one size field just over its bound."""
     d = {"height": 4, "width": 4}

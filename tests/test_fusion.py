@@ -256,10 +256,6 @@ class TestFusionConfig:
         with pytest.raises(ValueError, match="delta"):
             FusionConfig(delta=float("nan"))
 
-    def test_tie_break_rule_is_explicit(self):
-        with pytest.raises(ValueError, match="tie_break"):
-            FusionConfig(tie_break="coin_flip")
-
     def test_defaults(self):
         c = FusionConfig()
         assert c.delta == 0.7

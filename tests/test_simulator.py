@@ -1,9 +1,12 @@
+import copy
 import math
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from maxfusion import (
@@ -257,13 +260,13 @@ class TestSampling:
 
     def test_naive_equals_fold_at_delta_floor_bit_exactly(self):
         for preset in ("contradictory", "complementary"):
-            scn = preset_scenario(preset, delta=-1.0)
+            scn = with_delta(preset_scenario(preset), -1.0)
             fused = sample(scn)
             averaged = sample(replace(scn, strategy="naive"))
             assert fused.same_outputs(replace_strategy(averaged, "maxfusion"))
 
     def test_max_select_equals_fold_at_delta_ceiling_bit_exactly(self):
-        scn = preset_scenario("contradictory", delta=2.0)
+        scn = with_delta(preset_scenario("contradictory"), 2.0)
         fused = sample(scn)
         selected = sample(replace(scn, strategy="max_select"))
         assert fused.same_outputs(replace_strategy(selected, "maxfusion"))
@@ -317,6 +320,10 @@ class TestSampling:
             np.testing.assert_allclose(got.data, want, atol=1e-6)
 
 
+def with_delta(scn, delta):
+    return replace(scn, fusion=replace(scn.fusion, delta=delta))
+
+
 def replace_strategy(report, name):
     # reports only differ by the label when runs are bit-identical
     report.strategy = name
@@ -330,7 +337,7 @@ def reversed_trace_steps(report):
 class TestDivergence:
     @pytest.mark.parametrize("strategy", ["maxfusion", "naive", "max_select", "single"])
     def test_overflowing_encoding_names_step_and_branch(self, strategy):
-        scn = preset_scenario("contradictory", strategy=strategy)
+        scn = replace(preset_scenario("contradictory"), strategy=strategy)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"diverged at step t=\d+ in branch [01]: non-finite"):
@@ -414,3 +421,70 @@ class TestPresets:
                 inside = br.mask > 0
                 assert sigma[~inside].mean() < 1e-9
                 assert sigma[inside].mean() > 0.0
+
+
+DELETE = object()  # substitute that removes the key instead of replacing its value
+SUBSTITUTES = (
+    None, True, False, 0, -1, 1.5, math.nan, math.inf, -math.inf, 2**70, "x",
+    [], [[0.5, 0.5]], [[0.5], [0.5, 0.5]], {}, DELETE,
+)
+
+
+def key_paths(node, path=()):
+    """Every key path into a JSON-shaped value, list indices included."""
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield path + (key,)
+            yield from key_paths(child, path + (key,))
+
+
+def substituted(d, path, value):
+    d = copy.deepcopy(d)
+    parent = d
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return d
+
+
+@st.composite
+def small_scenario_dicts(draw):
+    """A valid JSON scenario: a grid of up to 3x3, 0-2 branches, a 3-step schedule."""
+    h, w = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    channels = draw(st.sampled_from((4, 8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    branches = [
+        Branch(
+            mask=rng.uniform(size=(h, w)),
+            target=rng.normal(size=(h, w)),
+            embedding=branch_embedding(channels, i),
+        )
+        for i in range(draw(st.integers(0, 2)))
+    ]
+    scn = Scenario(
+        height=h, width=w, channels=channels,
+        schedule=NoiseSchedule.linear(steps=3), branches=branches,
+    )
+    d = scenario_to_dict(scn)
+    if draw(st.booleans()):
+        d["schedule"] = {"steps": 3, "beta_start": 0.01, "beta_end": 0.2}
+    return d
+
+
+class TestScenarioJsonFuzz:
+    @settings(max_examples=600, deadline=None)
+    @given(data=st.data())
+    def test_one_bad_value_gives_scenario_or_error_naming_its_key(self, data):
+        d = data.draw(small_scenario_dicts())
+        path = data.draw(st.sampled_from(list(key_paths(d))))
+        value = data.draw(st.sampled_from(SUBSTITUTES))
+        key = [k for k in path if isinstance(k, str)][-1]  # list items blame their array
+        try:
+            scn = scenario_from_dict(substituted(d, path, value))
+        except ValueError as exc:
+            assert key in str(exc)
+        else:
+            assert isinstance(scn, Scenario)

@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 import oracles
 from maxfusion import (
     FeatureMap,
-    StatsConfig,
+    FusionConfig,
     channel_std_map,
     correlation_map,
     make_feature_map,
+    merge_pair,
     normalized_std_map,
 )
 
@@ -124,13 +125,16 @@ class TestCorrelation:
 
 
 class TestStatsConfig:
+    """The zero-signal guard: stats.EPSILON_NORM and FusionConfig.epsilon_norm."""
+
     def test_epsilon_must_be_positive(self):
         with pytest.raises(ValueError, match="epsilon_norm"):
-            StatsConfig(epsilon_norm=0.0)
+            FusionConfig(epsilon_norm=0.0)
 
     def test_epsilon_routes_small_norms_to_zero(self):
         tiny = single_location(1e-20, 0.0)
         other = single_location(1.0, 1.0)
         assert correlation_map(tiny, other).data[0, 0] == 0.0
-        loose = StatsConfig(epsilon_norm=1e-30)
-        assert correlation_map(tiny, other, loose).data[0, 0] != 0.0
+        assert merge_pair(tiny, other).rho.data[0, 0] == 0.0
+        loose = FusionConfig(epsilon_norm=1e-30)
+        assert merge_pair(tiny, other, loose).rho.data[0, 0] != 0.0

@@ -340,3 +340,25 @@ class TestAdoptionKeepsChecks:
             SpatialMap._adopt(np.ones(3))
         with pytest.raises(ValueError, match="branch index"):
             SelectionMask._adopt(np.array([[2]], dtype=np.int32), 2)
+
+
+class TestReadFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        edits=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)), max_size=4),
+        keep=st.none() | st.integers(0, 10**6),
+    )
+    def test_mutated_file_reads_or_raises_value_error(self, edits, keep):
+        buf = io.BytesIO()
+        write_tensor(make_feature_map(2, 3, 2, np.arange(12.0) - 5.5), buf)
+        raw = bytearray(buf.getvalue())
+        for at, byte in edits:
+            raw[at % len(raw)] = byte
+        raw = bytes(raw if keep is None else raw[: keep % len(raw)])
+        for stream in (io.BytesIO(raw), io.BufferedReader(_Pipe(raw))):
+            try:
+                fm = read_tensor(stream)
+            except ValueError:  # TensorFormatError included
+                continue
+            assert isinstance(fm, FeatureMap)  # trailing bytes are left unread
+            assert fm.data.tobytes() == raw[HEADER_SIZE : HEADER_SIZE + fm.data.nbytes]
