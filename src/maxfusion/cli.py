@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -29,6 +30,7 @@ from .simulator import (
 )
 from .stats import channel_std_map, correlation_map, normalized_std_map
 from .tensor_core import (
+    HEADER_SIZE,
     FeatureMap,
     SpatialMap,
     read_tensor,
@@ -50,7 +52,13 @@ def _jfloat(x: float):
 
 def _load_feature(path: str) -> FeatureMap:
     with open(path, "rb") as fh:
-        return read_tensor(fh)
+        fm = read_tensor(fh)
+        size = os.fstat(fh.fileno()).st_size  # 0 for a pipe, which ends at its payload
+    # a dim corrupted downward would otherwise read as a smaller map
+    trailing = size - HEADER_SIZE - fm.data.nbytes
+    if trailing > 0:
+        raise ValueError(f"{path}: {trailing} bytes after the payload of header dims {fm.shape}")
+    return fm
 
 
 def _write(out_dir: Path, name: str, writer, obj) -> None:

@@ -207,6 +207,14 @@ def unmerge_pair(
     return out[0], out[1]
 
 
+def _merge_chain(branches, cfg: FusionConfig) -> tuple[PairFusionResult, ...]:
+    """Each merge_pair result, in order, of folding branches 1.. into the running f_eff."""
+    results = [merge_pair(branches[0], branches[1], cfg)]
+    for branch in branches[2:]:
+        results.append(merge_pair(results[-1].f_eff, branch, cfg))
+    return tuple(results)
+
+
 def maxfusion_fold(branches: list[FeatureMap], cfg: FusionConfig | None = None) -> FoldResult:
     """Incrementally fold N branches through pairwise merge + unmerge.
 
@@ -221,14 +229,10 @@ def maxfusion_fold(branches: list[FeatureMap], cfg: FusionConfig | None = None) 
         raise ValueError(f"need at least 2 branches to fold, got {len(branches)}")
     _require_same_shape(branches)
 
+    pair_results = _merge_chain(branches, cfg)
     running = branches[0]
     updated = list(branches)
-    pair_results = []
-    for i in range(1, len(branches)):
-        res = merge_pair(running, branches[i], cfg)
-        u_run, u_i = unmerge_pair(running, branches[i], res, cfg)
-        updated[0] = u_run
-        updated[i] = u_i
-        pair_results.append(res)
+    for i, res in enumerate(pair_results, start=1):
+        updated[0], updated[i] = unmerge_pair(running, branches[i], res, cfg)
         running = res.f_eff
-    return FoldResult(f_eff=running, updated=tuple(updated), pair_results=tuple(pair_results))
+    return FoldResult(f_eff=running, updated=tuple(updated), pair_results=pair_results)

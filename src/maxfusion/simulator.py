@@ -39,7 +39,7 @@ from functools import partial
 
 import numpy as np
 
-from .fusion import MAX_SELECT_DELTA, FoldResult, FusionConfig, maxfusion_fold, naive_average
+from .fusion import MAX_SELECT_DELTA, FusionConfig, _merge_chain, naive_average
 from .tensor_core import FeatureMap, SelectionMask, _freeze
 
 STRATEGIES = ("maxfusion", "naive", "max_select", "single", "unconditional")
@@ -215,6 +215,8 @@ class Scenario:
                 f"scenario field 'readout' length must equal scenario channels "
                 f"{self.channels}, got shape {readout.shape}"
             )
+        if not np.isfinite(readout).all():
+            raise ValueError("scenario field 'readout' must be finite")
         object.__setattr__(self, "readout", _freeze(readout.copy()))
         for i, br in enumerate(self.branches):
             if br.mask.shape != (self.height, self.width):
@@ -247,15 +249,6 @@ class SelectionStats:
         return cls(mask.averaged_fraction(), mask.win_fractions())
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    """Per-step fusion internals kept when a run records its trace."""
-
-    features: tuple[FeatureMap, ...]
-    fold: FoldResult | None
-    f_eff: FeatureMap | None
-
-
 @dataclass(eq=False)
 class RunReport:
     """Outcome of one simulator run."""
@@ -266,7 +259,8 @@ class RunReport:
     wall_clock_s: float
     seed: int
     strategy: str
-    trace: tuple[TraceStep, ...] | None = None
+    # when recorded, each step's branch features; maxfusion_fold(list(step), cfg) refolds one
+    trace: tuple[tuple[FeatureMap, ...], ...] | None = None
 
     @property
     def averaged_fraction(self) -> float:
@@ -350,16 +344,15 @@ def _apply_strategy(scenario: Scenario, feats: tuple[FeatureMap, ...]):
     if strat in ("maxfusion", "max_select"):
         cfg = scenario.fusion if strat == "maxfusion" else replace(scenario.fusion, delta=MAX_SELECT_DELTA)
         if len(feats) == 1:
-            return feats[0], None, ()
-        fold = maxfusion_fold(list(feats), cfg)
-        events = tuple(SelectionStats.from_mask(r.selection) for r in fold.pair_results)
-        return fold.f_eff, fold, events
+            return feats[0], ()
+        pairs = _merge_chain(feats, cfg)
+        return pairs[-1].f_eff, tuple(SelectionStats.from_mask(r.selection) for r in pairs)
     if strat == "naive":
         # semantically one all-averaged merge event, so the stats line up
         # with a maxfusion run at delta = -1
-        return naive_average(list(feats)), None, (SelectionStats(1.0, (0.0,) * len(feats)),)
+        return naive_average(list(feats)), (SelectionStats(1.0, (0.0,) * len(feats)),)
     if strat == "single":
-        return feats[scenario.single_branch], None, ()
+        return feats[scenario.single_branch], ()
     raise ValueError(f"unknown strategy {strat!r}")
 
 
@@ -382,9 +375,9 @@ def sample(scenario: Scenario, record_trace: bool = False) -> RunReport:
     scalar guidance field g, and takes the score-form ancestral update
     with effective score (analytic score + guidance_weight * g), adding
     sqrt(beta_t) noise for every step but the last.  The maxfusion and
-    max_select strategies run the fold, which merges and unmerges every
-    pair; the unmerged per-branch features live in the trace (the
-    encoders are stateless, so there is nothing to feed them back into).
+    max_select strategies run only the fold's merges: the encoders are
+    stateless, so no unmerged feature is fed back, and
+    fusion.renormalize, which acts only in unmerge, cannot change a run.
 
     A run whose state grows past float32 range (a guidance weight far
     too large, say) raises ValueError naming the step t, and the branch
@@ -400,7 +393,7 @@ def sample(scenario: Scenario, record_trace: bool = False) -> RunReport:
     lam = scenario.guidance_weight
     conditioned = scenario.strategy != "unconditional" and len(scenario.branches) > 0
     step_stats: list[tuple[SelectionStats, ...]] = []
-    trace: list[TraceStep] = []
+    trace: list[tuple[FeatureMap, ...]] = []
 
     # overflow surfaces as the ValueErrors below, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
@@ -410,15 +403,13 @@ def sample(scenario: Scenario, record_trace: bool = False) -> RunReport:
             score = analytic_score(x, t, sched, scenario.prior_mean, scenario.prior_std)
             s_eff = score
             feats: tuple[FeatureMap, ...] = ()
-            fold = None
-            f_eff = None
             events: tuple[SelectionStats, ...] = ()
             if conditioned:
                 abar = float(sched.alpha_bar[t])
                 x0_hat = (x + (1.0 - abar) * score) / math.sqrt(abar)
                 feats = _encode_branches(scenario, x0_hat, t)
                 try:
-                    f_eff, fold, events = _apply_strategy(scenario, feats)
+                    f_eff, events = _apply_strategy(scenario, feats)
                 except ValueError as exc:
                     raise ValueError(f"sampler diverged at step t={t} in fusion: {exc}") from None
                 if lam != 0.0:
@@ -431,7 +422,7 @@ def sample(scenario: Scenario, record_trace: bool = False) -> RunReport:
                 x = mean
             step_stats.append(events)
             if record_trace:
-                trace.append(TraceStep(features=feats, fold=fold, f_eff=f_eff))
+                trace.append(feats)
     # a conditioned step's non-finite state is caught by the next step's encoding
     if not np.isfinite(x).all():
         raise ValueError("sampler diverged: the final sample is non-finite")
@@ -601,13 +592,18 @@ _object = partial(_typed, kind=dict, want="an object")
 _array = partial(_typed, kind=list, want="an array")
 
 
+def _has_bool(value) -> bool:
+    return isinstance(value, bool) or (isinstance(value, list) and any(map(_has_bool, value)))
+
+
 def _float_array(value, path: str) -> np.ndarray:
     """A rectangular (nested) JSON array of finite numbers, as float64."""
     try:
         arr = np.array(value) if isinstance(value, list) else None
     except ValueError:  # ragged nesting
         arr = None
-    if arr is None or arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+    # numpy reads a true among numbers as 1, so a bool at any depth is rejected
+    if arr is None or arr.dtype.kind not in "iuf" or _has_bool(value) or not np.isfinite(arr).all():
         raise _bad(path, "a rectangular array of finite numbers", value)
     return arr.astype(np.float64)
 

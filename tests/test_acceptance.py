@@ -224,7 +224,7 @@ def test_criterion_08_complementary_averaging_path():
     overlap = (scn.branches[0].mask > 0) & (scn.branches[1].mask > 0)
     fractions = []
     for ts in rep.trace:
-        codes = ts.fold.pair_results[0].selection.codes
+        codes = maxfusion_fold(list(ts), scn.fusion).pair_results[0].selection.codes
         fractions.append(float(np.mean(codes[overlap] == AVERAGED)))
     assert min(fractions) > 0.5
     _pass(8, f"overlap averaged fraction per step in [{min(fractions):.2f}, {max(fractions):.2f}]")
@@ -242,19 +242,20 @@ def test_criterion_09_ablation_monotonicity():
 
 
 def test_criterion_10_three_modality_fold():
-    """The three_way preset completes, its in-run folds satisfy the
-    scalar fold oracle, all three branch MSEs are reported, and a
-    2-branch fold equals the direct pair path bit-exactly."""
+    """The three_way preset completes, the folds of its recorded steps
+    satisfy the scalar fold oracle, all three branch MSEs are reported,
+    and a 2-branch fold equals the direct pair path bit-exactly."""
     scn = preset_scenario("three_way")
     rep = sample(scn, record_trace=True)
     assert len(rep.branch_mse) == 3
     assert all(m >= 0 for m in rep.branch_mse)
     for step_idx in (0, 20, 49):
         step = rep.trace[step_idx]
-        feats = [f.data for f in step.features]
+        fold = maxfusion_fold(list(step), scn.fusion)
+        feats = [f.data for f in step]
         oeff, oupd, _ = oracles.fold(feats, scn.fusion.delta, True)
-        np.testing.assert_allclose(step.fold.f_eff.data, oeff, atol=ATOL)
-        for got, want in zip(step.fold.updated, oupd):
+        np.testing.assert_allclose(fold.f_eff.data, oeff, atol=ATOL)
+        for got, want in zip(fold.updated, oupd):
             np.testing.assert_allclose(got.data, want, atol=ATOL)
 
     rng = np.random.default_rng(1010)

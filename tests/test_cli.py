@@ -123,6 +123,20 @@ class TestFuseCommand:
         assert err.startswith("error: ")
         assert "(65535, 65535, 65535)" in err
 
+    def test_trailing_bytes_exit_2_naming_dims_and_count(self, tmp_path, capsys):
+        bad = tmp_path / "short_c.mxft"
+        write_tensor_file(bad, random_tensor(8, (2, 3, 2)))
+        raw = bytearray(bad.read_bytes())
+        raw[16] = 1  # C drops from 2 to 1, leaving one channel's bytes unread
+        bad.write_bytes(bytes(raw))
+        good = tmp_path / "t.mxft"
+        write_tensor_file(good, random_tensor(7, (2, 3, 2)))
+        assert main(["fuse", str(bad), str(good), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "(1, 3, 2)" in err and "24 bytes" in err
+        assert not (tmp_path / "o").exists()
+
     def test_single_input_rejected(self, tmp_path):
         src = tmp_path / "t.mxft"
         write_tensor_file(src, random_tensor(7))
@@ -197,6 +211,7 @@ BAD_SCENARIO_FIELDS = [
     ("seed", ("seed",), -1, []),
     ("seed", (), None, ["--seed", "-1"]),
     ("schedule.steps", ("schedule",), {"steps": 0}, []),
+    ("branches[0].mask", ("branches", 0, "mask", 3, 3), True, []),
 ]
 
 
@@ -392,12 +407,15 @@ class TestDeterminism:
             out_a, out_b = tmp_path / "a", tmp_path / "b"
             assert main([*argv, "--out", str(out_a)]) == 0
             assert main([*argv, "--out", str(out_b)]) == 0
-            names = sorted(
-                p.name for p in out_a.iterdir() if p.suffix in (".mxft", ".csv")
-            )
+            names = sorted(p.name for p in out_a.iterdir())
             assert names
+            assert names == sorted(p.name for p in out_b.iterdir())
             for name in names:
-                assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+                a, b = (out_a / name).read_bytes(), (out_b / name).read_bytes()
+                if name == "trace.json":  # its wall_clock_s is the one field that varies
+                    a, b = (json.loads(t) for t in (a, b))
+                    del a["wall_clock_s"], b["wall_clock_s"]
+                assert a == b, name
             for p in out_a.iterdir():
                 p.unlink()
             for p in out_b.iterdir():

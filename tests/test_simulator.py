@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from maxfusion import (
     AVERAGED,
+    PRESET_NAMES,
     Branch,
     FusionConfig,
     NoiseSchedule,
@@ -22,6 +23,7 @@ from maxfusion import (
     condition_error,
     decode_guidance,
     default_readout,
+    maxfusion_fold,
     naive_average,
     preset_scenario,
     run_ablation,
@@ -230,6 +232,10 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="branch 0.*mask"):
             tiny_scenario(height=8)
 
+    def test_non_finite_readout_names_its_field(self):
+        with pytest.raises(ValueError, match="'readout' must be finite"):
+            replace(preset_scenario("contradictory"), readout=[math.nan] * 8)
+
     def test_single_branch_index_checked(self):
         with pytest.raises(ValueError, match="single_branch"):
             tiny_scenario(strategy="single", single_branch=3)
@@ -271,6 +277,13 @@ class TestSampling:
         selected = sample(replace(scn, strategy="max_select"))
         assert fused.same_outputs(replace_strategy(selected, "maxfusion"))
 
+    @pytest.mark.parametrize("strategy", ["maxfusion", "max_select"])
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    def test_renormalize_cannot_change_a_run(self, preset, strategy):
+        scn = replace(preset_scenario(preset), strategy=strategy)
+        plain = replace(scn, fusion=replace(scn.fusion, renormalize=not scn.fusion.renormalize))
+        assert sample(scn).same_outputs(sample(plain))
+
     def test_single_branch_guidance_beats_unconditional(self):
         diffs = []
         for seed in range(8):
@@ -284,10 +297,11 @@ class TestSampling:
         scn = preset_scenario("contradictory")
         rep = sample(scn, record_trace=True)
         step = rep.trace[10]
-        assert step.fold is not None
-        f1, f2 = step.features
-        pair = step.fold.pair_results[0]
-        u1, u2 = step.fold.updated
+        assert step
+        fold = maxfusion_fold(list(step), scn.fusion)
+        f1, f2 = step
+        pair = fold.pair_results[0]
+        u1, u2 = fold.updated
         codes = pair.selection.codes
         for i, (orig, post) in enumerate(((f1, u1), (f2, u2))):
             lost = codes == (1 - i)
@@ -302,7 +316,8 @@ class TestSampling:
         rep = sample(scn, record_trace=True)
         for events, ts in zip(rep.step_stats, reversed_trace_steps(rep)):
             assert len(events) == 1
-            assert events[0].averaged_fraction == ts.fold.pair_results[0].selection.averaged_fraction()
+            pair = maxfusion_fold(list(ts), scn.fusion).pair_results[0]
+            assert events[0].averaged_fraction == pair.selection.averaged_fraction()
 
     def test_three_way_runs_and_reports_three_mses(self):
         rep = sample(preset_scenario("three_way"))
@@ -313,10 +328,11 @@ class TestSampling:
         scn = preset_scenario("three_way")
         rep = sample(scn, record_trace=True)
         step = rep.trace[25]
-        feats = [f.data for f in step.features]
+        fold = maxfusion_fold(list(step), scn.fusion)
+        feats = [f.data for f in step]
         eff, updated, codes = oracles.fold(feats, scn.fusion.delta, True)
-        np.testing.assert_allclose(step.fold.f_eff.data, eff, atol=1e-6)
-        for got, want in zip(step.fold.updated, updated):
+        np.testing.assert_allclose(fold.f_eff.data, eff, atol=1e-6)
+        for got, want in zip(fold.updated, updated):
             np.testing.assert_allclose(got.data, want, atol=1e-6)
 
 
@@ -408,7 +424,7 @@ class TestPresets:
         rep = sample(scn, record_trace=True)
         overlap = (scn.branches[0].mask > 0) & (scn.branches[1].mask > 0)
         for ts in rep.trace:
-            codes = ts.fold.pair_results[0].selection.codes
+            codes = maxfusion_fold(list(ts), scn.fusion).pair_results[0].selection.codes
             assert np.mean(codes[overlap] == AVERAGED) > 0.5
 
     def test_observation_two_diagnostic_inside_vs_outside(self):
