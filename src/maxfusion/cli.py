@@ -195,7 +195,6 @@ def cmd_simulate(args) -> int:
         "branch_mse": [_jfloat(m) for m in rep.branch_mse],
         "averaged_fraction": _jfloat(rep.averaged_fraction),
         "per_step_averaged_fraction": [_jfloat(f) for f in rep.per_step_averaged_fraction()],
-        "wall_clock_s": rep.wall_clock_s,
     }
     with open(out / "trace.json", "w", encoding="ascii") as fh:
         json.dump(trace, fh)
@@ -280,7 +279,8 @@ def cmd_compare(args) -> int:
     md.append("|" + "---|" * (len(scn.branches) + 2))
     reports = {}
     for label, variant in variants:
-        rep = sample(variant)
+        # renormalize acts only in unmerge, whose output sample() drops
+        rep = reports["maxfusion"] if label == "maxfusion-no-renorm" else sample(variant)
         reports[label] = rep
         csv_rows.extend(_csv_rows(label, variant, rep))
         frac = rep.averaged_fraction

@@ -33,7 +33,6 @@ a fixed order (initial state first, then one noise field per step).
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -256,7 +255,6 @@ class RunReport:
     final_sample: np.ndarray
     branch_mse: tuple[float, ...]
     step_stats: tuple[tuple[SelectionStats, ...], ...]
-    wall_clock_s: float
     seed: int
     strategy: str
     # when recorded, each step's branch features; maxfusion_fold(list(step), cfg) refolds one
@@ -275,7 +273,7 @@ class RunReport:
         )
 
     def same_outputs(self, other: "RunReport") -> bool:
-        """Equality of everything reproducible (wall clock and trace excluded)."""
+        """Equality of everything reproducible (the trace excluded)."""
         return (
             self.seed == other.seed
             and self.strategy == other.strategy
@@ -384,7 +382,6 @@ def sample(scenario: Scenario, record_trace: bool = False) -> RunReport:
     when one branch's encoding overflowed, instead of emitting numpy
     overflow warnings.
     """
-    start = time.perf_counter()
     sched = scenario.schedule
     steps = sched.steps
     rng = np.random.default_rng(scenario.seed)
@@ -431,7 +428,6 @@ def sample(scenario: Scenario, record_trace: bool = False) -> RunReport:
         final_sample=_freeze(x),
         branch_mse=condition_error(x, scenario),
         step_stats=tuple(step_stats),
-        wall_clock_s=time.perf_counter() - start,
         seed=scenario.seed,
         strategy=scenario.strategy,
         trace=tuple(trace) if record_trace else None,
@@ -608,8 +604,21 @@ def _float_array(value, path: str) -> np.ndarray:
     return arr.astype(np.float64)
 
 
-def _present(d: dict, prefix: str, converters: dict, required=()) -> dict:
-    """Convert the keys of d that converters names; absent keys keep their defaults."""
+def _betas(value, path: str) -> np.ndarray:
+    """An explicit schedule: a _float_array of at most MAX_STEPS values."""
+    if isinstance(value, list) and len(value) > MAX_STEPS:
+        raise _bad(path, f"an array of <= {MAX_STEPS} values", value)
+    return _float_array(value, path)
+
+
+def _present(d: dict, prefix: str, converters: dict, required=(), nested=()) -> dict:
+    """Convert the keys of d that converters names; absent keys keep their defaults.
+
+    Any other key, unless the caller converts it (``nested``), is rejected.
+    """
+    known = [*converters, *nested]
+    if unknown := [key for key in d if key not in known]:
+        raise ValueError(f"scenario field '{prefix}{unknown[0]}' is not one of: {', '.join(known)}")
     for key in required:
         if key not in d:
             raise ValueError(f"scenario field '{prefix}{key}' is required")
@@ -643,16 +652,17 @@ def scenario_from_dict(d: dict) -> Scenario:
 
     Only the keys present are converted, each by the converter of its
     JSON type, and a wrong type or range names the dotted field path
-    (``fusion.delta``, ``branches[0].mask``).  Absent keys take the
-    Scenario, FusionConfig, NoiseSchedule.linear and Branch defaults.
-    The schedule accepts either an explicit {"betas": [...]} list or
-    linear parameters {"steps", "beta_start", "beta_end"}.  Step count,
+    (``fusion.delta``, ``branches[0].mask``), as does a key that no
+    converter takes.  Absent keys take the Scenario, FusionConfig,
+    NoiseSchedule.linear and Branch defaults.  The schedule accepts
+    either an explicit {"betas": [...]} list or linear parameters
+    {"steps", "beta_start", "beta_end"}, never both.  Step count,
     grid and channel count are bounded (MAX_STEPS, MAX_GRID_SIDE,
     MAX_CHANNELS, MAX_FEATURE_VALUES) before anything is allocated.
     """
     if not isinstance(d, dict):
         raise ValueError(f"a scenario must be a JSON object, got {type(d).__name__}")
-    kw = _present(d, "", _SCENARIO_FIELDS, required=("height", "width"))
+    kw = _present(d, "", _SCENARIO_FIELDS, ("height", "width"), ("schedule", "fusion", "branches"))
     channels, height, width = kw.get("channels", Scenario.channels), kw["height"], kw["width"]
     if channels * height * width > MAX_FEATURE_VALUES:
         raise ValueError(
@@ -662,10 +672,7 @@ def scenario_from_dict(d: dict) -> Scenario:
     if "schedule" in d:
         sched_d = _object(d["schedule"], "schedule")
         if "betas" in sched_d:
-            betas = sched_d["betas"]
-            if isinstance(betas, list) and len(betas) > MAX_STEPS:
-                raise _bad("schedule.betas", f"an array of <= {MAX_STEPS} values", betas)
-            kw["schedule"] = NoiseSchedule(_float_array(betas, "schedule.betas"))
+            kw["schedule"] = NoiseSchedule(_present(sched_d, "schedule.", {"betas": _betas})["betas"])
         else:
             fields = _present(sched_d, "schedule.", _LINEAR_SCHEDULE_FIELDS)
             kw["schedule"] = NoiseSchedule.linear(**fields)

@@ -9,6 +9,11 @@ by one branch.  All three are immutable after construction and reject
 non-finite values at every boundary, so downstream arithmetic never
 has to guard against NaN or infinity.
 
+The three share one private base, ``_Frozen``: the ``shape``,
+``height`` and ``width`` accessors, an equality over each class's
+declared fields that never holds across classes, no hash, and for the
+two float maps one constructor body that differs only in rank and dtype.
+
 The public constructors copy their input, because the caller may still
 hold and later mutate it.  An array the library has just allocated
 itself, and that nothing else references, is adopted instead: the
@@ -75,9 +80,17 @@ def _check_dims(arr: np.ndarray, ndim: int, what: str) -> None:
 
 
 class _Frozen:
-    """Shared adopt-not-copy constructor of the three containers."""
+    """Base of the three containers: construction, shape and equality.
+
+    ``_fields`` names the slots equality compares, the frozen array first.
+    The float maps' shared ``_fill`` reads ``_ndim``, ``_dtype`` and ``_what``.
+    """
 
     __slots__ = ()
+    _fields = ("data",)
+
+    def __init__(self, data: np.ndarray):
+        self._fill(data, copy=True)
 
     @classmethod
     def _adopt(cls, *args):
@@ -90,6 +103,32 @@ class _Frozen:
         obj._fill(*args, copy=False)
         return obj
 
+    def _fill(self, data, copy: bool) -> None:
+        arr = np.asarray(data)
+        _check_dims(arr, self._ndim, self._what)
+        arr = arr.astype(self._dtype, copy=copy)
+        _check_finite(arr)
+        self.data = _freeze(arr)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return getattr(self, self._fields[0]).shape
+
+    @property
+    def height(self) -> int:
+        return self.shape[-2]
+
+    @property
+    def width(self) -> int:
+        return self.shape[-1]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f), getattr(other, f)) for f in self._fields)
+
+    __hash__ = None
+
 
 class FeatureMap(_Frozen):
     """Immutable (C, H, W) float32 tensor.
@@ -99,39 +138,11 @@ class FeatureMap(_Frozen):
     """
 
     __slots__ = ("data",)
-
-    def __init__(self, data: np.ndarray):
-        self._fill(data, copy=True)
-
-    def _fill(self, data, copy: bool) -> None:
-        arr = np.asarray(data)
-        _check_dims(arr, 3, "a (C, H, W)")
-        arr = arr.astype(np.float32, copy=copy)
-        _check_finite(arr)
-        self.data = _freeze(arr)
+    _ndim, _dtype, _what = 3, np.float32, "a (C, H, W)"
 
     @property
     def channels(self) -> int:
         return self.data.shape[0]
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[2]
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return self.data.shape
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FeatureMap):
-            return NotImplemented
-        return self.shape == other.shape and bool(np.array_equal(self.data, other.data))
-
-    __hash__ = None
 
     def __repr__(self) -> str:
         return f"FeatureMap(C={self.channels}, H={self.height}, W={self.width})"
@@ -162,28 +173,7 @@ class SpatialMap(_Frozen):
     """Immutable (H, W) float64 field of per-location scalars."""
 
     __slots__ = ("data",)
-
-    def __init__(self, data: np.ndarray):
-        self._fill(data, copy=True)
-
-    def _fill(self, data, copy: bool) -> None:
-        arr = np.asarray(data)
-        _check_dims(arr, 2, "an (H, W)")
-        arr = arr.astype(np.float64, copy=copy)
-        _check_finite(arr)
-        self.data = _freeze(arr)
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.data.shape
+    _ndim, _dtype, _what = 2, np.float64, "an (H, W)"
 
     @classmethod
     def from_feature_map(cls, fm: FeatureMap) -> "SpatialMap":
@@ -196,13 +186,6 @@ class SpatialMap(_Frozen):
         with np.errstate(over="ignore"):  # out-of-range values fail the finite check
             data = self.data[np.newaxis].astype(np.float32)
         return FeatureMap._adopt(data)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SpatialMap):
-            return NotImplemented
-        return self.shape == other.shape and bool(np.array_equal(self.data, other.data))
-
-    __hash__ = None
 
     def __repr__(self) -> str:
         return f"SpatialMap(H={self.height}, W={self.width})"
@@ -219,7 +202,7 @@ class SelectionMask(_Frozen):
     merge; winner codes must lie in ``[0, n_branches)``.
     """
 
-    __slots__ = ("codes", "n_branches")
+    __slots__ = _fields = ("codes", "n_branches")
 
     def __init__(self, codes: np.ndarray, n_branches: int):
         self._fill(codes, n_branches, copy=True)
@@ -238,18 +221,6 @@ class SelectionMask(_Frozen):
         self.codes = _freeze(arr)
         self.n_branches = int(n_branches)
 
-    @property
-    def height(self) -> int:
-        return self.codes.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.codes.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.codes.shape
-
     def averaged_fraction(self) -> float:
         return float(np.mean(self.codes == AVERAGED))
 
@@ -259,15 +230,6 @@ class SelectionMask(_Frozen):
     def tag_map(self) -> FeatureMap:
         """Numeric tags as a C=1 tensor (-1.0 averaged, b.0 winner) for MXFT export."""
         return FeatureMap._adopt(self.codes[np.newaxis].astype(np.float32))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SelectionMask):
-            return NotImplemented
-        return self.n_branches == other.n_branches and bool(
-            np.array_equal(self.codes, other.codes)
-        )
-
-    __hash__ = None
 
     def __repr__(self) -> str:
         return f"SelectionMask(H={self.height}, W={self.width}, n_branches={self.n_branches})"

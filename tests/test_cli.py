@@ -8,7 +8,9 @@ import pytest
 
 from maxfusion import (
     FeatureMap,
+    FusionConfig,
     make_feature_map,
+    maxfusion_fold,
     naive_average,
     preset_scenario,
     read_tensor,
@@ -137,6 +139,21 @@ class TestFuseCommand:
         assert "(1, 3, 2)" in err and "24 bytes" in err
         assert not (tmp_path / "o").exists()
 
+    def test_no_renorm_writes_the_unrenormalized_unmerge(self, tmp_path, capsys):
+        maps = [random_tensor(10 + i, (8, 5, 6)) for i in range(2)]
+        paths = [tmp_path / f"t{i}.mxft" for i in range(2)]
+        for p, fm in zip(paths, maps):
+            write_tensor_file(p, fm)
+        out = tmp_path / "o"
+        assert main(["fuse", *map(str, paths), "--no-renorm", "--out", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["renormalize"] is False
+        plain = maxfusion_fold(maps, FusionConfig(renormalize=False)).updated
+        renormed = maxfusion_fold(maps).updated
+        for i in range(2):
+            got = load_tensor_file(out / f"branch_{i}_unmerged.mxft")
+            assert got == plain[i]
+            assert got != renormed[i]  # each branch loses somewhere and is rescaled there
+
     def test_single_input_rejected(self, tmp_path):
         src = tmp_path / "t.mxft"
         write_tensor_file(src, random_tensor(7))
@@ -215,21 +232,45 @@ BAD_SCENARIO_FIELDS = [
 ]
 
 
+def _preset_json_with(tmp_path, keys, value):
+    """The contradictory preset as a JSON file, with value set at the key path (if any)."""
+    d = scenario_to_dict(preset_scenario("contradictory"))
+    if keys:
+        node = d
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+    p = tmp_path / "scn.json"
+    p.write_text(json.dumps(d))
+    return p
+
+
 class TestScenarioFieldTypes:
     @pytest.mark.parametrize("field, keys, value, flags", BAD_SCENARIO_FIELDS)
     def test_bad_field_exits_2_naming_its_path(self, field, keys, value, flags, tmp_path, capsys):
-        d = scenario_to_dict(preset_scenario("contradictory"))
-        if keys:
-            node = d
-            for key in keys[:-1]:
-                node = node[key]
-            node[keys[-1]] = value
-        p = tmp_path / "scn.json"
-        p.write_text(json.dumps(d))
+        p = _preset_json_with(tmp_path, keys, value)
         argv = ["simulate", "--scenario", str(p), "--out", str(tmp_path / "o"), *flags]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"error: scenario field '{field}' must be ")
         assert not (tmp_path / "o").exists()
+
+
+UNKNOWN_SCENARIO_KEYS = [
+    # (dotted path the error names, key path set in the preset's JSON, value)
+    ("guidance_wieght", ("guidance_wieght",), 1e9),
+    ("schedule.stepz", ("schedule",), {"stepz": 3}),
+    ("fusion.detla", ("fusion", "detla"), 0.1),
+    ("branches[0].strenght", ("branches", 0, "strenght"), 2.0),
+    ("schedule.steps", ("schedule", "steps"), 7),  # the preset's schedule holds betas
+]
+
+
+@pytest.mark.parametrize("field, keys, value", UNKNOWN_SCENARIO_KEYS)
+def test_unknown_scenario_key_exits_2_naming_its_path(field, keys, value, tmp_path, capsys):
+    p = _preset_json_with(tmp_path, keys, value)
+    assert main(["simulate", "--scenario", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: scenario field '{field}' is not one of: ")
+    assert not (tmp_path / "o").exists()
 
 
 def _scenario_over_bound(field):
@@ -411,11 +452,7 @@ class TestDeterminism:
             assert names
             assert names == sorted(p.name for p in out_b.iterdir())
             for name in names:
-                a, b = (out_a / name).read_bytes(), (out_b / name).read_bytes()
-                if name == "trace.json":  # its wall_clock_s is the one field that varies
-                    a, b = (json.loads(t) for t in (a, b))
-                    del a["wall_clock_s"], b["wall_clock_s"]
-                assert a == b, name
+                assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
             for p in out_a.iterdir():
                 p.unlink()
             for p in out_b.iterdir():

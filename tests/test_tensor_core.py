@@ -241,6 +241,52 @@ def _stream(kind, raw, tmp_path):
 STREAM_KINDS = ("bytesio", "file", "pipe")
 
 
+def _codes(shape) -> np.ndarray:
+    """Values -1, 0 and 1: valid codes for a two-branch mask, and finite floats."""
+    return np.arange(np.prod(shape)).reshape(shape) % 3 - 1
+
+
+CONTAINERS = [
+    pytest.param(FeatureMap, (2, 3, 4), id="FeatureMap"),
+    pytest.param(SpatialMap, (3, 4), id="SpatialMap"),
+    pytest.param(lambda a: SelectionMask(a, 2), (3, 4), id="SelectionMask"),
+]
+
+
+class TestEquality:
+    @pytest.mark.parametrize("make, shape", CONTAINERS)
+    def test_equal_values_and_shape_compare_equal(self, make, shape):
+        assert make(_codes(shape)) == make(_codes(shape))
+
+    @pytest.mark.parametrize("make, shape", CONTAINERS)
+    def test_one_changed_value_compares_unequal(self, make, shape):
+        arr = _codes(shape)
+        other = arr.copy()
+        other.flat[-1] = 0 if arr.flat[-1] else 1
+        assert make(arr) != make(other)
+        assert not make(arr) == make(other)
+
+    @pytest.mark.parametrize("make, shape", CONTAINERS)
+    def test_same_values_in_another_shape_compare_unequal(self, make, shape):
+        arr = _codes(shape)
+        assert make(arr) != make(arr.reshape(shape[::-1]))
+
+    def test_masks_differing_only_in_branch_count_compare_unequal(self):
+        codes = _codes((3, 4))
+        assert SelectionMask(codes, 2) != SelectionMask(codes, 3)
+
+    def test_feature_map_never_equals_spatial_map(self):
+        arr = _codes((3, 4))
+        fm, sm = FeatureMap(arr[np.newaxis]), SpatialMap(arr)
+        assert fm != sm and sm != fm
+        assert fm.__eq__(sm) is NotImplemented and sm.__eq__(fm) is NotImplemented
+
+    @pytest.mark.parametrize("make, shape", CONTAINERS)
+    def test_unhashable(self, make, shape):
+        with pytest.raises(TypeError):
+            hash(make(_codes(shape)))
+
+
 class TestZeroCopyIO:
     @settings(max_examples=60, deadline=None)
     @given(
