@@ -36,7 +36,6 @@ from .fusion import (
 from .simulator import (
     PRESET_NAMES,
     STRATEGIES,
-    AblationRow,
     Branch,
     NoiseSchedule,
     RunReport,
@@ -59,7 +58,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AVERAGED",
-    "AblationRow",
     "Branch",
     "FeatureMap",
     "FoldResult",

@@ -4,7 +4,8 @@ Composition happens through files (MXFT tensors in, MXFT/PGM/CSV out),
 so the tool chains in shell pipelines.  Every command prints one JSON
 summary line to stdout.  Exit codes: 0 success, 2 usage or input error,
 1 internal failure.  All numeric output uses 9 significant digits so
-repeated runs produce byte-identical CSV and MXFT files.
+repeated runs produce byte-identical CSV and MXFT files.  Each CSV row
+is formatted from one RunReport; its delta column is RunReport.delta.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .fusion import MAX_SELECT_DELTA, FusionConfig, maxfusion_fold
+from .fusion import FusionConfig, maxfusion_fold
 from .simulator import (
     PRESET_NAMES,
     RunReport,
@@ -42,12 +43,13 @@ from .tensor_core import (
 CSV_HEADER = "strategy,delta,branch,mse,averaged_fraction,seed"
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".9g")
+def _fmt(x: float | None) -> str:
+    """9 significant digits; None and NaN are the empty cell."""
+    return "" if x is None or math.isnan(x) else format(float(x), ".9g")
 
 
 def _jfloat(x: float):
-    return None if math.isnan(x) else float(_fmt(x))
+    return float(text) if (text := _fmt(x)) else None
 
 
 def _load_feature(path: str) -> FeatureMap:
@@ -151,24 +153,10 @@ def _scenario_from_args(args) -> Scenario:
     return replace(scn, fusion=_fusion_from_args(scn.fusion, args), seed=seed)
 
 
-def _effective_delta(scn: Scenario) -> str:
-    if scn.strategy == "maxfusion":
-        return _fmt(scn.fusion.delta)
-    if scn.strategy == "naive":
-        return _fmt(-1.0)
-    if scn.strategy == "max_select":
-        return _fmt(MAX_SELECT_DELTA)
-    return ""
-
-
-def _csv_rows(label: str, scn: Scenario, rep: RunReport) -> list[str]:
-    frac = rep.averaged_fraction
-    frac_s = "" if math.isnan(frac) else _fmt(frac)
-    delta_s = _effective_delta(scn)
-    return [
-        f"{label},{delta_s},{b},{_fmt(mse)},{frac_s},{scn.seed}"
-        for b, mse in enumerate(rep.branch_mse)
-    ]
+def _csv_rows(label: str, rep: RunReport) -> list[str]:
+    """One CSV row per branch; the delta column is the gate the run fused at."""
+    head, frac = f"{label},{_fmt(rep.delta)}", _fmt(rep.averaged_fraction)
+    return [f"{head},{b},{_fmt(mse)},{frac},{rep.seed}" for b, mse in enumerate(rep.branch_mse)]
 
 
 def _write_csv(path: Path, rows: list[str]) -> None:
@@ -185,7 +173,7 @@ def cmd_simulate(args) -> int:
     final = SpatialMap(rep.final_sample)
     _write(out, "sample.mxft", write_tensor, final)
     _write(out, "sample.pgm", write_pgm, final)
-    _write_csv(out / "metrics.csv", _csv_rows(scn.strategy, scn, rep))
+    _write_csv(out / "metrics.csv", _csv_rows(scn.strategy, rep))
     trace = {
         "strategy": scn.strategy,
         "delta": _jfloat(scn.fusion.delta),
@@ -230,17 +218,10 @@ def _parse_deltas(text: str) -> list[float]:
 def cmd_ablate(args) -> int:
     scn = _scenario_from_args(args)
     deltas = _parse_deltas(args.deltas)
-    rows = run_ablation(scn, deltas)
+    reports = run_ablation(scn, deltas)
     out = _out_dir(args)
-    csv_rows = []
-    for row in rows:
-        frac_s = "" if math.isnan(row.averaged_fraction) else _fmt(row.averaged_fraction)
-        for b, mse in enumerate(row.branch_mse):
-            csv_rows.append(
-                f"maxfusion,{_fmt(row.delta)},{b},{_fmt(mse)},{frac_s},{scn.seed}"
-            )
-    _write_csv(out / "metrics.csv", csv_rows)
-    fracs = [row.averaged_fraction for row in rows]
+    _write_csv(out / "metrics.csv", [row for rep in reports for row in _csv_rows("maxfusion", rep)])
+    fracs = [rep.averaged_fraction for rep in reports]
     monotonic = all(a >= b for a, b in zip(fracs, fracs[1:]))
     if not monotonic:
         raise RuntimeError(
@@ -248,7 +229,7 @@ def cmd_ablate(args) -> int:
         )
     _print_summary(
         {
-            "deltas": [_jfloat(r.delta) for r in rows],
+            "deltas": [_jfloat(rep.delta) for rep in reports],
             "averaged_fractions": [_jfloat(f) for f in fracs],
             "monotonic": monotonic,
             "out_dir": str(out),
@@ -282,10 +263,8 @@ def cmd_compare(args) -> int:
         # renormalize acts only in unmerge, whose output sample() drops
         rep = reports["maxfusion"] if label == "maxfusion-no-renorm" else sample(variant)
         reports[label] = rep
-        csv_rows.extend(_csv_rows(label, variant, rep))
-        frac = rep.averaged_fraction
-        cells = [label] + [_fmt(m) for m in rep.branch_mse]
-        cells.append("" if math.isnan(frac) else _fmt(frac))
+        csv_rows.extend(_csv_rows(label, rep))
+        cells = [label, *map(_fmt, rep.branch_mse), _fmt(rep.averaged_fraction)]
         md.append("| " + " | ".join(cells) + " |")
     _write_csv(out / "compare.csv", csv_rows)
     with open(out / "compare.md", "w", encoding="ascii", newline="") as fh:

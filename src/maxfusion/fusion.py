@@ -63,8 +63,8 @@ class FusionConfig:
     def __post_init__(self):
         if not np.isfinite(self.delta):
             raise ValueError(f"delta must be finite, got {self.delta}")
-        if not (self.epsilon_norm > 0):
-            raise ValueError(f"epsilon_norm must be > 0, got {self.epsilon_norm}")
+        if not (np.isfinite(self.epsilon_norm) and self.epsilon_norm > 0):
+            raise ValueError(f"epsilon_norm must be a finite number > 0, got {self.epsilon_norm}")
 
 
 @dataclass(frozen=True)

@@ -250,13 +250,14 @@ class SelectionStats:
 
 @dataclass(eq=False)
 class RunReport:
-    """Outcome of one simulator run."""
+    """Outcome of one simulator run; delta is the correlation gate it fused at."""
 
     final_sample: np.ndarray
     branch_mse: tuple[float, ...]
     step_stats: tuple[tuple[SelectionStats, ...], ...]
     seed: int
     strategy: str
+    delta: float | None
     # when recorded, each step's branch features; maxfusion_fold(list(step), cfg) refolds one
     trace: tuple[tuple[FeatureMap, ...], ...] | None = None
 
@@ -277,6 +278,7 @@ class RunReport:
         return (
             self.seed == other.seed
             and self.strategy == other.strategy
+            and self.delta == other.delta
             and self.branch_mse == other.branch_mse
             and self.step_stats == other.step_stats
             and bool(np.array_equal(self.final_sample, other.final_sample))
@@ -337,21 +339,28 @@ def decode_guidance(f_eff: FeatureMap, readout: np.ndarray) -> np.ndarray:
     return (readout[:, np.newaxis, np.newaxis] * f_eff.data.astype(np.float64)).sum(axis=0)
 
 
-def _apply_strategy(scenario: Scenario, feats: tuple[FeatureMap, ...]):
+def _gate(scenario: Scenario) -> float | None:
+    """The correlation gate a run fuses at; None for single and unconditional.
+
+    naive counts as delta = -1, where every location averages.
+    """
+    gates = {"maxfusion": scenario.fusion.delta, "max_select": MAX_SELECT_DELTA, "naive": -1.0}
+    return gates.get(scenario.strategy)
+
+
+def _apply_strategy(scenario: Scenario, cfg: FusionConfig, feats: tuple[FeatureMap, ...]):
     strat = scenario.strategy
     if strat in ("maxfusion", "max_select"):
-        cfg = scenario.fusion if strat == "maxfusion" else replace(scenario.fusion, delta=MAX_SELECT_DELTA)
         if len(feats) == 1:
             return feats[0], ()
         pairs = _merge_chain(feats, cfg)
         return pairs[-1].f_eff, tuple(SelectionStats.from_mask(r.selection) for r in pairs)
     if strat == "naive":
-        # semantically one all-averaged merge event, so the stats line up
-        # with a maxfusion run at delta = -1
+        # one all-averaged merge event, so the stats line up with a
+        # maxfusion run at the same gate
         return naive_average(list(feats)), (SelectionStats(1.0, (0.0,) * len(feats)),)
-    if strat == "single":
-        return feats[scenario.single_branch], ()
-    raise ValueError(f"unknown strategy {strat!r}")
+    # single is all that is left: Scenario admits only STRATEGIES, and unconditional never fuses
+    return feats[scenario.single_branch], ()
 
 
 def _encode_branches(scenario: Scenario, x0_hat: np.ndarray, t: int) -> tuple[FeatureMap, ...]:
@@ -388,6 +397,8 @@ def sample(scenario: Scenario, record_trace: bool = False) -> RunReport:
     shape = (scenario.height, scenario.width)
 
     lam = scenario.guidance_weight
+    delta = _gate(scenario)
+    cfg = scenario.fusion if delta is None else replace(scenario.fusion, delta=delta)
     conditioned = scenario.strategy != "unconditional" and len(scenario.branches) > 0
     step_stats: list[tuple[SelectionStats, ...]] = []
     trace: list[tuple[FeatureMap, ...]] = []
@@ -406,7 +417,7 @@ def sample(scenario: Scenario, record_trace: bool = False) -> RunReport:
                 x0_hat = (x + (1.0 - abar) * score) / math.sqrt(abar)
                 feats = _encode_branches(scenario, x0_hat, t)
                 try:
-                    f_eff, events = _apply_strategy(scenario, feats)
+                    f_eff, events = _apply_strategy(scenario, cfg, feats)
                 except ValueError as exc:
                     raise ValueError(f"sampler diverged at step t={t} in fusion: {exc}") from None
                 if lam != 0.0:
@@ -430,6 +441,7 @@ def sample(scenario: Scenario, record_trace: bool = False) -> RunReport:
         step_stats=tuple(step_stats),
         seed=scenario.seed,
         strategy=scenario.strategy,
+        delta=delta,
         trace=tuple(trace) if record_trace else None,
     )
 
@@ -454,31 +466,21 @@ def condition_error(sample_field: np.ndarray, scenario: Scenario) -> tuple[float
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class AblationRow:
-    delta: float
-    branch_mse: tuple[float, ...]
-    averaged_fraction: float
-
-
-def run_ablation(scenario: Scenario, deltas) -> tuple[AblationRow, ...]:
+def run_ablation(scenario: Scenario, deltas) -> tuple[RunReport, ...]:
     """Re-run the scenario as maxfusion at each threshold, sharing the seed.
 
-    Because every run replays identical noise, tightening the gate can
-    only shrink the set of averaged locations step by step, so the
-    reported averaged fraction is non-increasing in delta.
+    Returns one RunReport per delta, in order; each report's delta is
+    its threshold.  Because every run replays identical noise,
+    tightening the gate can only shrink the set of averaged locations
+    step by step, so the averaged fraction is non-increasing in delta.
     """
     deltas = list(deltas)
     if not deltas:
         raise ValueError("need at least one delta")
-    rows = []
-    for d in deltas:
-        scn = replace(
-            scenario, strategy="maxfusion", fusion=replace(scenario.fusion, delta=float(d))
-        )
-        rep = sample(scn)
-        rows.append(AblationRow(float(d), rep.branch_mse, rep.averaged_fraction))
-    return tuple(rows)
+    fused = replace(scenario, strategy="maxfusion")
+    return tuple(
+        sample(replace(fused, fusion=replace(scenario.fusion, delta=float(d)))) for d in deltas
+    )
 
 
 def _rect(h: int, w: int, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
@@ -515,37 +517,6 @@ def preset_scenario(name: str) -> Scenario:
         for i, (rect, target) in enumerate(_PRESET_BRANCHES[name])
     ]
     return Scenario(height=h, width=w, branches=branches)
-
-
-def scenario_to_dict(s: Scenario) -> dict:
-    """Mirror a Scenario as a JSON-ready dict."""
-    return {
-        "height": s.height,
-        "width": s.width,
-        "channels": s.channels,
-        "schedule": {"betas": [float(b) for b in s.schedule.betas]},
-        "branches": [
-            {
-                "mask": br.mask.tolist(),
-                "target": br.target.tolist(),
-                "embedding": br.embedding.tolist(),
-                "strength": br.strength,
-            }
-            for br in s.branches
-        ],
-        "guidance_weight": s.guidance_weight,
-        "prior_mean": s.prior_mean,
-        "prior_std": s.prior_std,
-        "seed": s.seed,
-        "fusion": {
-            "delta": s.fusion.delta,
-            "renormalize": s.fusion.renormalize,
-            "epsilon_norm": s.fusion.epsilon_norm,
-        },
-        "strategy": s.strategy,
-        "single_branch": s.single_branch,
-        "readout": s.readout.tolist(),
-    }
 
 
 def _bad(path: str, want: str, value) -> ValueError:
@@ -645,6 +616,22 @@ _LINEAR_SCHEDULE_FIELDS = {
 _FUSION_FIELDS = {"delta": _number, "renormalize": _boolean, "epsilon_norm": _number}
 _BRANCH_REQUIRED = ("mask", "target", "embedding")
 _BRANCH_FIELDS = {**dict.fromkeys(_BRANCH_REQUIRED, _float_array), "strength": _number}
+
+
+def _fields(obj, converters: dict) -> dict:
+    """obj's attributes named by a loader table, arrays as nested lists."""
+    values = {key: getattr(obj, key) for key in converters}
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in values.items()}
+
+
+def scenario_to_dict(s: Scenario) -> dict:
+    """Mirror a Scenario as a JSON-ready dict with the keys scenario_from_dict converts."""
+    return {
+        **_fields(s, _SCENARIO_FIELDS),
+        "schedule": {"betas": s.schedule.betas.tolist()},
+        "fusion": _fields(s.fusion, _FUSION_FIELDS),
+        "branches": [_fields(br, _BRANCH_FIELDS) for br in s.branches],
+    }
 
 
 def scenario_from_dict(d: dict) -> Scenario:

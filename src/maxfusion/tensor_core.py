@@ -325,6 +325,8 @@ def write_pgm(sm: SpatialMap, sink: BinaryIO) -> int:
     """
     vals = sm.data
     lo, hi = float(vals.min()), float(vals.max())
+    if not np.isfinite(hi - lo):  # a span past the float range: halve it (exact but for subnormals)
+        vals, lo, hi = vals / 2.0, lo / 2.0, hi / 2.0
     if hi > lo:
         gray = np.rint((vals - lo) / (hi - lo) * 255.0)
     else:

@@ -389,6 +389,21 @@ class TestCompareCommand:
         assert all(float(r["mse"]) > 0 for r in fused)
         assert (out / "compare.md").read_text().startswith("| strategy |")
 
+    @pytest.mark.parametrize("flags, fused", [([], "0.7"), (["--delta", "0.3"], "0.3")])
+    def test_delta_column_is_the_gate_each_run_fused_at(self, flags, fused, tmp_path):
+        out = tmp_path / "o"
+        assert main(["compare", "--preset", "three_way", *flags, "--out", str(out)]) == 0
+        assert {(r["strategy"], r["delta"]) for r in read_csv(out / "compare.csv")} == {
+            ("naive", "-1"),
+            ("max_select", "2"),
+            ("maxfusion", fused),
+            ("maxfusion-no-renorm", fused),
+            ("single(0)", ""),
+            ("single(1)", ""),
+            ("single(2)", ""),
+            ("unconditional", ""),
+        }
+
     def test_zero_guidance_collapses_all_strategies(self, tmp_path):
         cfg = scenario_to_dict(preset_scenario("contradictory"))
         cfg["guidance_weight"] = 0.0

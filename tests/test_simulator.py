@@ -245,6 +245,19 @@ class TestScenarioValidation:
         back = scenario_from_dict(scenario_to_dict(scn))
         assert sample(scn).same_outputs(sample(back))
 
+    @pytest.mark.parametrize("level", [(), ("schedule",), ("fusion",), ("branches", 0)])
+    def test_dict_keys_are_the_keys_the_loader_accepts(self, level):
+        d = scenario_to_dict(preset_scenario("three_way"))
+        probe = copy.deepcopy(d)
+        node, probe_node = d, probe
+        for key in level:
+            node, probe_node = node[key], probe_node[key]
+        probe_node["zz_unknown"] = 0
+        # the loader names every key it accepts at a level when it rejects an unknown one
+        with pytest.raises(ValueError, match="is not one of: ") as err:
+            scenario_from_dict(probe)
+        assert set(node) == set(str(err.value).split("is not one of: ")[1].split(", "))
+
 
 class TestSampling:
     def test_deterministic_given_seed(self):
@@ -276,6 +289,16 @@ class TestSampling:
         fused = sample(scn)
         selected = sample(replace(scn, strategy="max_select"))
         assert fused.same_outputs(replace_strategy(selected, "maxfusion"))
+
+    @pytest.mark.parametrize(
+        "strategy, delta",
+        [("maxfusion", 0.3), ("max_select", 2.0), ("naive", -1.0),
+         ("single", None), ("unconditional", None)],
+    )
+    def test_report_delta_is_the_gate_the_run_fused_at(self, strategy, delta):
+        rep = sample(tiny_scenario(strategy=strategy, fusion=FusionConfig(delta=0.3)))
+        assert rep.delta == delta
+        assert not rep.same_outputs(replace(rep, delta=0.5))
 
     @pytest.mark.parametrize("strategy", ["maxfusion", "max_select"])
     @pytest.mark.parametrize("preset", PRESET_NAMES)
@@ -407,6 +430,14 @@ class TestAblation:
     def test_empty_delta_list_rejected(self):
         with pytest.raises(ValueError, match="at least one delta"):
             run_ablation(preset_scenario("contradictory"), [])
+
+    def test_each_report_is_the_maxfusion_run_at_its_delta(self):
+        scn = replace(preset_scenario("complementary"), strategy="naive")
+        deltas = [-1.0, 0.5, 0.9, 2.0]
+        reports = run_ablation(scn, deltas)
+        assert [rep.delta for rep in reports] == deltas
+        for d, rep in zip(deltas, reports):
+            assert rep.same_outputs(sample(replace(with_delta(scn, d), strategy="maxfusion")))
 
 
 class TestPresets:

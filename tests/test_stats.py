@@ -131,6 +131,12 @@ class TestStatsConfig:
         with pytest.raises(ValueError, match="epsilon_norm"):
             FusionConfig(epsilon_norm=0.0)
 
+    @pytest.mark.parametrize("eps", [np.inf, np.nan])
+    def test_epsilon_must_be_finite(self, eps):
+        # an infinite guard would count every location as zero signal
+        with pytest.raises(ValueError, match="epsilon_norm"):
+            FusionConfig(epsilon_norm=eps)
+
     def test_epsilon_routes_small_norms_to_zero(self):
         tiny = single_location(1e-20, 0.0)
         other = single_location(1.0, 1.0)

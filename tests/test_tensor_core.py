@@ -197,6 +197,20 @@ class TestSpatialMap:
         assert buf.getvalue() == expected
         assert n == len(expected)
 
+    def test_pgm_span_past_float_range_renders_without_overflow(self):
+        buf = io.BytesIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            write_pgm(SpatialMap(np.array([[-1e308, 0.0, 1e308]])), buf)
+        assert buf.getvalue() == b"P5\n3 1\n255\n" + bytes([0, 128, 255])
+
+    def test_pgm_wide_finite_span_keeps_the_direct_scaling(self):
+        vals = np.array([[-8e307, 1e300, 3e307, 9e307]])  # max - min is finite
+        buf = io.BytesIO()
+        write_pgm(SpatialMap(vals), buf)
+        gray = np.rint((vals - vals.min()) / (vals.max() - vals.min()) * 255.0).astype(np.uint8)
+        assert buf.getvalue() == b"P5\n4 1\n255\n" + gray.tobytes()
+
     def test_pgm_constant_map_is_black(self):
         buf = io.BytesIO()
         write_pgm(SpatialMap(np.full((2, 3), 7.0)), buf)
