@@ -53,13 +53,16 @@ def _jfloat(x: float):
 
 
 def _load_feature(path: str) -> FeatureMap:
-    with open(path, "rb") as fh:
-        fm = read_tensor(fh)
-        size = os.fstat(fh.fileno()).st_size  # 0 for a pipe, which ends at its payload
-    # a dim corrupted downward would otherwise read as a smaller map
-    trailing = size - HEADER_SIZE - fm.data.nbytes
-    if trailing > 0:
-        raise ValueError(f"{path}: {trailing} bytes after the payload of header dims {fm.shape}")
+    """Read one MXFT file; every read error names the file."""
+    try:
+        with open(path, "rb") as fh:
+            fm = read_tensor(fh)
+            size = os.fstat(fh.fileno()).st_size  # 0 for a pipe, which ends at its payload
+        # a dim corrupted downward would otherwise read as a smaller map
+        if (trailing := size - HEADER_SIZE - fm.data.nbytes) > 0:
+            raise ValueError(f"{trailing} bytes after the payload of header dims {fm.shape}")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return fm
 
 
@@ -176,7 +179,7 @@ def cmd_simulate(args) -> int:
     _write_csv(out / "metrics.csv", _csv_rows(scn.strategy, rep))
     trace = {
         "strategy": scn.strategy,
-        "delta": _jfloat(scn.fusion.delta),
+        "delta": _jfloat(rep.delta),
         "renormalize": scn.fusion.renormalize,
         "seed": scn.seed,
         "steps": scn.schedule.steps,
@@ -206,27 +209,23 @@ def _parse_deltas(text: str) -> list[float]:
     deltas = []
     for p in parts:
         try:
-            d = float(p)
+            deltas.append(float(p))
         except ValueError:
             raise ValueError(f"malformed delta {p!r}") from None
-        if not math.isfinite(d):
-            raise ValueError(f"delta must be finite, got {p!r}")
-        deltas.append(d)
     return deltas
 
 
 def cmd_ablate(args) -> int:
     scn = _scenario_from_args(args)
-    deltas = _parse_deltas(args.deltas)
-    reports = run_ablation(scn, deltas)
+    reports = run_ablation(scn, _parse_deltas(args.deltas))
+    fracs = [rep.averaged_fraction for rep in reports]
+    # non-increasing along ascending deltas; the NaN of a run without a merge passes
+    ascending = [rep.averaged_fraction for rep in sorted(reports, key=lambda rep: rep.delta)]
+    monotonic = not any(a < b for a, b in zip(ascending, ascending[1:]))
+    if not monotonic:
+        raise RuntimeError(f"averaged fraction is not non-increasing across deltas: {ascending}")
     out = _out_dir(args)
     _write_csv(out / "metrics.csv", [row for rep in reports for row in _csv_rows("maxfusion", rep)])
-    fracs = [rep.averaged_fraction for rep in reports]
-    monotonic = all(a >= b for a, b in zip(fracs, fracs[1:]))
-    if not monotonic:
-        raise RuntimeError(
-            f"averaged fraction is not non-increasing across deltas: {fracs}"
-        )
     _print_summary(
         {
             "deltas": [_jfloat(rep.delta) for rep in reports],
@@ -332,15 +331,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _join_delta_flag(argv: list[str]) -> list[str]:
     # let "--deltas -1,2" survive argparse's leading-dash value handling
-    out = []
-    i = 0
-    while i < len(argv):
-        if argv[i] == "--deltas" and i + 1 < len(argv):
-            out.append("--deltas=" + argv[i + 1])
-            i += 2
-        else:
-            out.append(argv[i])
-            i += 1
+    out, rest = [], iter(argv)
+    for arg in rest:
+        value = next(rest, None) if arg == "--deltas" else None
+        out.append(arg if value is None else f"--deltas={value}")
     return out
 
 
@@ -351,6 +345,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(_join_delta_flag(argv))
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
+    # argparse reads the option value "--" (as in --out=--) as an empty list
+    if dashed := [key for key, value in vars(args).items() if value == []]:
+        print(f"error: option --{dashed[0]} takes a value other than '--'", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

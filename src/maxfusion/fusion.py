@@ -101,12 +101,11 @@ class FoldResult:
     pair_results: tuple[PairFusionResult, ...]
 
 
-def _require_same_shape(maps) -> tuple[int, int, int]:
+def _require_same_shape(maps) -> None:
     shape = maps[0].shape
     for m in maps[1:]:
         if m.shape != shape:
             raise ValueError(f"shape mismatch: {shape} vs {m.shape}")
-    return shape
 
 
 def naive_average(branches: list[FeatureMap]) -> FeatureMap:
@@ -227,7 +226,6 @@ def maxfusion_fold(branches: list[FeatureMap], cfg: FusionConfig | None = None) 
     cfg = cfg or FusionConfig()
     if len(branches) < 2:
         raise ValueError(f"need at least 2 branches to fold, got {len(branches)}")
-    _require_same_shape(branches)
 
     pair_results = _merge_chain(branches, cfg)
     running = branches[0]

@@ -50,30 +50,41 @@ _PRESET_BRANCHES = {
 }
 PRESET_NAMES = tuple(_PRESET_BRANCHES)
 
-#: Upper bounds on the sizes a scenario JSON controls, checked before
-#: anything is allocated.
+#: Upper bounds on a scenario's sizes, checked by Scenario and NoiseSchedule
+#: before anything of that size is allocated.
 MAX_STEPS = 10_000
 MAX_GRID_SIDE = 1024
 MAX_CHANNELS = 4096
 MAX_FEATURE_VALUES = 1 << 24  # channels * height * width of one branch feature
 
 
+def _bad(path: str, want: str, value) -> ValueError:
+    shown = {list: "an array", dict: "an object"}.get(type(value)) or repr(value)
+    return ValueError(f"scenario field '{path}' must be {want}, got {shown}")
+
+
 class NoiseSchedule:
-    """Forward-diffusion beta schedule with derived cumulative products."""
+    """Forward-diffusion beta schedule: 1 to MAX_STEPS betas in (0, 1).
+
+    linear checks its step count before allocating; errors name the JSON
+    key, such as ``schedule.steps``.
+    """
 
     __slots__ = ("betas", "alphas", "alpha_bar")
 
     def __init__(self, betas):
         betas = np.asarray(betas, dtype=np.float64)
-        if betas.ndim != 1 or betas.size < 1:
-            raise ValueError("betas must be a non-empty 1-D sequence")
+        if betas.ndim != 1 or not 1 <= betas.size <= MAX_STEPS:
+            raise ValueError(f"scenario field 'schedule.betas' must be a 1-D array of 1 to "
+                             f"{MAX_STEPS} values, got shape {betas.shape}")
         if not ((betas > 0.0) & (betas < 1.0)).all():
-            raise ValueError("every value of betas must lie strictly in (0, 1)")
+            raise ValueError("scenario field 'schedule.betas' must lie strictly in (0, 1)")
         self.betas = _freeze(betas.copy())
         self.alphas = _freeze(1.0 - betas)
         alpha_bar = np.cumprod(self.alphas)
         if betas.size > 1 and not (np.diff(alpha_bar) < 0).all():
-            raise ValueError("cumulative alpha products must be strictly decreasing")
+            raise ValueError("scenario field 'schedule.betas' must give strictly decreasing "
+                             "cumulative alpha products")
         self.alpha_bar = _freeze(alpha_bar)
 
     @property
@@ -82,8 +93,11 @@ class NoiseSchedule:
 
     @classmethod
     def linear(cls, steps: int = 50, beta_start: float = 1e-4, beta_end: float = 0.02):
-        if steps < 1:
-            raise ValueError(f"steps must be >= 1, got {steps}")
+        if not 1 <= steps <= MAX_STEPS:
+            raise _bad("schedule.steps", f"in [1, {MAX_STEPS}]", steps)
+        for key, beta in (("beta_start", beta_start), ("beta_end", beta_end)):
+            if not 0.0 < beta < 1.0:
+                raise _bad(f"schedule.{key}", "a number in (0, 1)", beta)
         return cls(np.linspace(beta_start, beta_end, steps))
 
 
@@ -164,7 +178,11 @@ class Branch:
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """Complete specification of one toy-diffusion run."""
+    """Complete specification of one toy-diffusion run.
+
+    The value rules live here for Python and JSON callers alike, each
+    error naming its field; sizes are bounded before any allocation.
+    """
 
     height: int
     width: int
@@ -181,27 +199,27 @@ class Scenario:
     readout: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.height < 1 or self.width < 1:
-            raise ValueError(f"scenario fields 'height'/'width' must be >= 1, "
-                             f"got {self.height}x{self.width}")
-        if self.channels < 1:
-            raise ValueError(f"scenario field 'channels' must be >= 1, got {self.channels}")
-        if not (np.isfinite(self.guidance_weight) and self.guidance_weight >= 0):
+        # sizes first: the default read-out below is allocated from them
+        sizes = {"height": MAX_GRID_SIDE, "width": MAX_GRID_SIDE, "channels": MAX_CHANNELS}
+        for key, hi in sizes.items():
+            if not 1 <= (value := getattr(self, key)) <= hi:
+                raise _bad(key, f"in [1, {hi}]", value)
+        if self.channels * self.height * self.width > MAX_FEATURE_VALUES:
             raise ValueError(
-                f"scenario field 'guidance_weight' must be >= 0, got {self.guidance_weight}"
+                f"scenario fields 'channels' * 'height' * 'width' must be <= "
+                f"{MAX_FEATURE_VALUES}, got {self.channels} * {self.height} * {self.width}"
             )
+        for key in ("guidance_weight", "prior_std", "seed", "single_branch"):
+            if not 0 <= (value := getattr(self, key)) < math.inf:  # NaN fails too
+                raise _bad(key, ">= 0", value)
         if not np.isfinite(self.prior_mean):
             raise ValueError("scenario field 'prior_mean' must be finite")
-        if not (np.isfinite(self.prior_std) and self.prior_std >= 0):
-            raise ValueError(f"scenario field 'prior_std' must be >= 0, got {self.prior_std}")
-        if self.seed < 0:
-            raise ValueError(f"scenario field 'seed' must be >= 0, got {self.seed}")
         if self.strategy not in STRATEGIES:
             raise ValueError(
                 f"scenario field 'strategy' must be one of {STRATEGIES}, got {self.strategy!r}"
             )
         object.__setattr__(self, "branches", tuple(self.branches))
-        if self.strategy == "single" and not (0 <= self.single_branch < len(self.branches)):
+        if self.strategy == "single" and self.single_branch >= len(self.branches):
             raise ValueError(
                 f"scenario field 'single_branch' must index a branch, got {self.single_branch}"
             )
@@ -431,9 +449,9 @@ def sample(scenario: Scenario, record_trace: bool = False) -> RunReport:
             step_stats.append(events)
             if record_trace:
                 trace.append(feats)
-    # a conditioned step's non-finite state is caught by the next step's encoding
-    if not np.isfinite(x).all():
-        raise ValueError("sampler diverged: the final sample is non-finite")
+    # earlier states are checked by the next step's float32 encoding; NaN fails here too
+    if not (np.abs(x) <= np.finfo(np.float32).max).all():
+        raise ValueError("sampler diverged: the final sample is non-finite in float32")
 
     return RunReport(
         final_sample=_freeze(x),
@@ -478,9 +496,9 @@ def run_ablation(scenario: Scenario, deltas) -> tuple[RunReport, ...]:
     if not deltas:
         raise ValueError("need at least one delta")
     fused = replace(scenario, strategy="maxfusion")
-    return tuple(
-        sample(replace(fused, fusion=replace(scenario.fusion, delta=float(d)))) for d in deltas
-    )
+    # every delta is checked (by FusionConfig) before the first run
+    runs = [replace(fused, fusion=replace(scenario.fusion, delta=float(d))) for d in deltas]
+    return tuple(map(sample, runs))
 
 
 def _rect(h: int, w: int, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
@@ -519,30 +537,22 @@ def preset_scenario(name: str) -> Scenario:
     return Scenario(height=h, width=w, branches=branches)
 
 
-def _bad(path: str, want: str, value) -> ValueError:
-    shown = {list: "an array", dict: "an object"}.get(type(value)) or repr(value)
-    return ValueError(f"scenario field '{path}' must be {want}, got {shown}")
-
-
-def _integer(value, path: str, lo: int = 0, hi: int | None = None) -> int:
-    """A JSON integer in [lo, hi]; bools, floats such as 16.5 and strings are rejected."""
+def _integer(value, path: str) -> int:
+    """A JSON integer; bools, floats such as 16.5 and strings are rejected."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise _bad(path, "an integer", value)
-    if value < lo or (hi is not None and value > hi):
-        raise _bad(path, f">= {lo}" if hi is None else f"in [{lo}, {hi}]", value)
     return value
 
 
-def _number(value, path: str, lo: float = -math.inf, hi: float = math.inf) -> float:
-    """A finite JSON number strictly between lo and hi; bools and strings are rejected."""
+def _number(value, path: str) -> float:
+    """A finite JSON number (strict JSON has no NaN or Infinity); no bools or strings."""
     is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
     try:
         x = float(value) if is_number else math.nan
     except OverflowError:  # an integer past the float range
         x = math.nan
-    if not lo < x < hi:
-        bounded = math.isfinite(lo) or math.isfinite(hi)
-        raise _bad(path, f"a number in ({lo}, {hi})" if bounded else "a finite number", value)
+    if not math.isfinite(x):
+        raise _bad(path, "a finite number", value)
     return x
 
 
@@ -575,13 +585,6 @@ def _float_array(value, path: str) -> np.ndarray:
     return arr.astype(np.float64)
 
 
-def _betas(value, path: str) -> np.ndarray:
-    """An explicit schedule: a _float_array of at most MAX_STEPS values."""
-    if isinstance(value, list) and len(value) > MAX_STEPS:
-        raise _bad(path, f"an array of <= {MAX_STEPS} values", value)
-    return _float_array(value, path)
-
-
 def _present(d: dict, prefix: str, converters: dict, required=(), nested=()) -> dict:
     """Convert the keys of d that converters names; absent keys keep their defaults.
 
@@ -597,9 +600,9 @@ def _present(d: dict, prefix: str, converters: dict, required=(), nested=()) -> 
 
 
 _SCENARIO_FIELDS = {
-    "height": partial(_integer, lo=1, hi=MAX_GRID_SIDE),
-    "width": partial(_integer, lo=1, hi=MAX_GRID_SIDE),
-    "channels": partial(_integer, lo=1, hi=MAX_CHANNELS),
+    "height": _integer,
+    "width": _integer,
+    "channels": _integer,
     "guidance_weight": _number,
     "prior_mean": _number,
     "prior_std": _number,
@@ -608,11 +611,7 @@ _SCENARIO_FIELDS = {
     "single_branch": _integer,
     "readout": _float_array,
 }
-_LINEAR_SCHEDULE_FIELDS = {
-    "steps": partial(_integer, lo=1, hi=MAX_STEPS),
-    "beta_start": partial(_number, lo=0.0, hi=1.0),
-    "beta_end": partial(_number, lo=0.0, hi=1.0),
-}
+_LINEAR_SCHEDULE_FIELDS = {"steps": _integer, "beta_start": _number, "beta_end": _number}
 _FUSION_FIELDS = {"delta": _number, "renormalize": _boolean, "epsilon_norm": _number}
 _BRANCH_REQUIRED = ("mask", "target", "embedding")
 _BRANCH_FIELDS = {**dict.fromkeys(_BRANCH_REQUIRED, _float_array), "strength": _number}
@@ -638,28 +637,22 @@ def scenario_from_dict(d: dict) -> Scenario:
     """Build and validate a Scenario from a JSON-shaped dict.
 
     Only the keys present are converted, each by the converter of its
-    JSON type, and a wrong type or range names the dotted field path
+    JSON type, and a wrong type names the dotted field path
     (``fusion.delta``, ``branches[0].mask``), as does a key that no
-    converter takes.  Absent keys take the Scenario, FusionConfig,
-    NoiseSchedule.linear and Branch defaults.  The schedule accepts
-    either an explicit {"betas": [...]} list or linear parameters
-    {"steps", "beta_start", "beta_end"}, never both.  Step count,
-    grid and channel count are bounded (MAX_STEPS, MAX_GRID_SIDE,
-    MAX_CHANNELS, MAX_FEATURE_VALUES) before anything is allocated.
+    converter takes.  Ranges, sizes and indices are checked by the
+    constructors the values reach (Scenario, NoiseSchedule, FusionConfig,
+    Branch), which name the field the same way.  Absent keys take their
+    defaults.  The schedule accepts either an explicit {"betas": [...]}
+    list or linear parameters {"steps", "beta_start", "beta_end"}, never
+    both.
     """
     if not isinstance(d, dict):
         raise ValueError(f"a scenario must be a JSON object, got {type(d).__name__}")
     kw = _present(d, "", _SCENARIO_FIELDS, ("height", "width"), ("schedule", "fusion", "branches"))
-    channels, height, width = kw.get("channels", Scenario.channels), kw["height"], kw["width"]
-    if channels * height * width > MAX_FEATURE_VALUES:
-        raise ValueError(
-            f"scenario fields 'channels' * 'height' * 'width' must be <= "
-            f"{MAX_FEATURE_VALUES}, got {channels} * {height} * {width}"
-        )
     if "schedule" in d:
         sched_d = _object(d["schedule"], "schedule")
         if "betas" in sched_d:
-            kw["schedule"] = NoiseSchedule(_present(sched_d, "schedule.", {"betas": _betas})["betas"])
+            kw["schedule"] = NoiseSchedule(**_present(sched_d, "schedule.", {"betas": _float_array}))
         else:
             fields = _present(sched_d, "schedule.", _LINEAR_SCHEDULE_FIELDS)
             kw["schedule"] = NoiseSchedule.linear(**fields)

@@ -1,23 +1,39 @@
+import contextlib
+import io
 import json
+import math
+import string
 import struct
+import tempfile
 import tracemalloc
 import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from maxfusion import (
+    Branch,
     FeatureMap,
     FusionConfig,
+    NoiseSchedule,
+    Scenario,
+    branch_embedding,
     make_feature_map,
     maxfusion_fold,
     naive_average,
     preset_scenario,
     read_tensor,
     scenario_to_dict,
+    write_tensor,
 )
 from maxfusion import simulator
 from maxfusion.cli import main
+from maxfusion.tensor_core import HEADER_SIZE
+from scenario_json import SUBSTITUTES, blamed_key, key_paths, small_scenario_dicts, substituted
 
 GOLDEN_CONTRADICTORY_METRICS = (
     "strategy,delta,branch,mse,averaged_fraction,seed\n"
@@ -27,8 +43,6 @@ GOLDEN_CONTRADICTORY_METRICS = (
 
 
 def write_tensor_file(path, fm: FeatureMap) -> None:
-    from maxfusion import write_tensor
-
     with open(path, "wb") as fh:
         write_tensor(fm, fh)
 
@@ -154,6 +168,24 @@ class TestFuseCommand:
             assert got == plain[i]
             assert got != renormed[i]  # each branch loses somewhere and is rescaled there
 
+    @pytest.mark.parametrize("command", ["stats", "fuse"])
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda raw: b"XXXX" + raw[4:], "not an MXFT file"),
+            (lambda raw: raw[:-4], "truncated payload"),
+            (lambda raw: raw[:HEADER_SIZE] + struct.pack("<f", math.inf) + raw[HEADER_SIZE + 4 :],
+             "non-finite value at index 0"),
+        ],
+        ids=["magic", "truncated", "non-finite"],
+    )
+    def test_malformed_input_error_names_its_file(self, command, damage, message, tmp_path, capsys):
+        good, bad = tmp_path / "a.mxft", tmp_path / "bad.mxft"
+        write_tensor_file(good, random_tensor(1))
+        bad.write_bytes(damage(good.read_bytes()))
+        assert main([command, str(good), str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: {message}")
+
     def test_single_input_rejected(self, tmp_path):
         src = tmp_path / "t.mxft"
         write_tensor_file(src, random_tensor(7))
@@ -194,6 +226,15 @@ class TestSimulateCommand:
         p.write_text(json.dumps(cfg))
         assert main(["simulate", "--scenario", str(p), "--out", str(tmp_path)]) == 2
         assert "strategy" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("strategy", simulator.STRATEGIES)
+    def test_trace_delta_is_the_csv_delta(self, strategy, tmp_path):
+        p = _preset_json_with(tmp_path, ("strategy",), strategy)
+        out = tmp_path / "o"
+        assert main(["simulate", "--scenario", str(p), "--out", str(out)]) == 0
+        cell = read_csv(out / "metrics.csv")[0]["delta"]
+        trace = json.loads((out / "trace.json").read_text())
+        assert trace["delta"] == (float(cell) if cell else None)
 
     def test_missing_scenario_and_preset_rejected(self, tmp_path):
         assert main(["simulate", "--out", str(tmp_path)]) == 2
@@ -291,22 +332,48 @@ def _scenario_over_bound(field):
 
 
 BOUNDED_FIELDS = ("schedule.steps", "schedule.betas", "channels", "height", "width", "product")
+# the same bounds through the Python API: (what the error names, a call one past a bound)
+PYTHON_OVER_BOUND = {
+    "steps": ("'schedule.steps'", lambda: NoiseSchedule.linear(steps=simulator.MAX_STEPS + 1)),
+    "betas": ("'schedule.betas'", lambda: NoiseSchedule([0.01] * (simulator.MAX_STEPS + 1))),
+    "height": ("'height'", lambda: Scenario(height=simulator.MAX_GRID_SIDE + 1, width=1)),
+    "product": (
+        "'channels' * 'height' * 'width'",
+        lambda: Scenario(height=1024, width=1024, channels=17),
+    ),
+    "single_branch": (
+        "'single_branch'",
+        lambda: replace(preset_scenario("contradictory"), single_branch=-1),
+    ),
+}
+
+
+def _rejection_and_peak(call):
+    """The ValueError call raises, and the peak memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as info:
+            call()
+        return info.value, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestScenarioSizeBounds:
     @pytest.mark.parametrize("field", BOUNDED_FIELDS)
     def test_rejected_before_allocating(self, field):
         d = _scenario_over_bound(field)
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError) as info:
-                simulator.scenario_from_dict(d)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        err, peak = _rejection_and_peak(lambda: simulator.scenario_from_dict(d))
         assert peak < 1 << 20
         name = "'channels' * 'height' * 'width'" if field == "product" else f"'{field}'"
-        assert name in str(info.value)
+        assert name in str(err)
+
+    @pytest.mark.parametrize("case", PYTHON_OVER_BOUND)
+    def test_python_callers_rejected_before_allocating(self, case):
+        name, call = PYTHON_OVER_BOUND[case]
+        err, peak = _rejection_and_peak(call)
+        assert peak < 1 << 20
+        assert str(err).startswith("scenario field") and name in str(err)
 
     @pytest.mark.parametrize("field", BOUNDED_FIELDS)
     def test_cli_exits_2_naming_field(self, field, tmp_path, capsys):
@@ -330,6 +397,16 @@ class TestScenarioSizeBounds:
         betas = np.linspace(1e-4, 0.02, steps).tolist()
         d = {"height": 1, "width": 1, "schedule": {"betas": betas}}
         assert simulator.scenario_from_dict(d).schedule.steps == steps
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [(["ablate", "--deltas", "--"], "--deltas"), (["simulate", "--out=--"], "--out")],
+    ids=["deltas", "out"],
+)
+def test_dash_dash_option_value_exits_2_naming_the_option(argv, option, capsys):
+    assert main([*argv, "--preset", "contradictory"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: option {option} ")
 
 
 class TestAblateCommand:
@@ -367,6 +444,47 @@ class TestAblateCommand:
             main(["ablate", "--preset", "contradictory", "--deltas", ",", "--out", str(tmp_path)])
             == 2
         )
+
+    def test_non_finite_delta_exits_2_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        argv = ["ablate", "--preset", "contradictory", "--deltas", "0.5,inf", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: delta must be finite")
+        assert not out.exists()
+
+    def test_deltas_in_any_order(self, tmp_path, capsys):
+        runs = {}
+        for name, deltas in (("up", "-1,0,0.5,0.7,1,2"), ("down", "1,-1,2,0.7,0,0.5")):
+            out = tmp_path / name
+            argv = ["ablate", "--preset", "complementary", "--deltas", deltas, "--out", str(out)]
+            assert main(argv) == 0
+            summary = json.loads(capsys.readouterr().out)
+            rows = read_csv(out / "metrics.csv")
+            assert [float(r["delta"]) for r in rows[::2]] == summary["deltas"]  # the given order
+            runs[name] = dict(zip(summary["deltas"], summary["averaged_fractions"])), rows
+        assert runs["up"][0] == runs["down"][0]
+        assert sorted(map(str, runs["up"][1])) == sorted(map(str, runs["down"][1]))
+
+    def test_runs_without_a_merge_pass_the_order_check(self, tmp_path, capsys):
+        d = scenario_to_dict(preset_scenario("contradictory"))
+        d["branches"] = d["branches"][:1]
+        p = tmp_path / "scn.json"
+        p.write_text(json.dumps(d))
+        argv = ["ablate", "--scenario", str(p), "--deltas", "0,1", "--out", str(tmp_path / "o")]
+        assert main(argv) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["averaged_fractions"] == [None, None]
+        assert summary["monotonic"] is True
+
+    def test_failed_order_check_writes_no_file(self, tmp_path, monkeypatch):
+        def swapped_labels(scn, deltas):  # the -1 run labelled 2 and the 2 run labelled -1
+            lo, hi = simulator.run_ablation(scn, [-1.0, 2.0])
+            return replace(lo, delta=2.0), replace(hi, delta=-1.0)
+
+        monkeypatch.setattr("maxfusion.cli.run_ablation", swapped_labels)
+        out = tmp_path / "o"
+        assert main(["ablate", "--preset", "contradictory", "--deltas", "0", "--out", str(out)]) == 1
+        assert not out.exists()
 
 
 class TestCompareCommand:
@@ -472,3 +590,88 @@ class TestDeterminism:
                 p.unlink()
             for p in out_b.iterdir():
                 p.unlink()
+
+
+def _run_main(argv) -> tuple[int, str]:
+    """main(argv) with its output captured: the exit code and stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _small_scenario(n_branches: int) -> dict:
+    """A 4x4, 3-step JSON scenario with disjoint left and right half masks."""
+    branches = []
+    for i in range(n_branches):
+        mask = np.zeros((4, 4))
+        mask[:, 2 * i : 2 * i + 2] = 1.0
+        target = np.full((4, 4), 2.0 - 4.0 * i)
+        branches.append(Branch(mask=mask, target=target, embedding=branch_embedding(8, i)))
+    d = scenario_to_dict(Scenario(height=4, width=4, branches=branches))
+    d["schedule"] = {"steps": 3}
+    return d
+
+
+class TestMainFuzz:
+    """Through main(): every input exits 0, or 2 with an error naming what was wrong."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        edits=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)), max_size=4),
+        end=st.none() | st.integers(0, 10**6) | st.binary(min_size=1, max_size=8),
+    )
+    def test_mutated_tensor_file(self, edits, end):
+        valid = random_tensor(3, shape=(2, 3, 3))
+        raw = io.BytesIO()
+        write_tensor(valid, raw)
+        raw = bytearray(raw.getvalue())
+        for at, byte in edits:
+            raw[at % len(raw)] = byte
+        if isinstance(end, int):  # truncate
+            raw = raw[: end % len(raw)]
+        elif end is not None:  # append
+            raw += end
+        with tempfile.TemporaryDirectory() as td:
+            good, bad = Path(td, "good.mxft"), Path(td, "bad.mxft")
+            write_tensor_file(good, valid)
+            bad.write_bytes(raw)
+            for command in ("stats", "fuse"):
+                code, err = _run_main([command, str(good), str(bad), "--out", str(Path(td, "o"))])
+                assert code in (0, 2), err
+                if code == 2:  # a header reshaped to the same value count reads fine
+                    assert err.startswith(f"error: {bad}: ") or "shape mismatch" in err, err
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        # delta-like text half the time, so many lists parse and run, in any order
+        text=st.text(alphabet="0123456789.,-+e inf", max_size=20)
+        | st.text(alphabet=string.printable, max_size=20),
+        n_branches=st.sampled_from((1, 2)),
+    )
+    @example(text="1,-1", n_branches=2)
+    def test_random_delta_text(self, text, n_branches):
+        with tempfile.TemporaryDirectory() as td:
+            p = Path(td, "scn.json")
+            p.write_text(json.dumps(_small_scenario(n_branches)))
+            code, err = _run_main(["ablate", "--scenario", str(p), "--deltas", text,
+                                   "--out", str(Path(td, "o"))])
+        assert code in (0, 2), err
+        if code == 2:
+            assert err.startswith("error: ") and "delta" in err, err
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_scenario_json_with_one_bad_value(self, data):
+        d = data.draw(small_scenario_dicts())
+        path = data.draw(st.sampled_from(list(key_paths(d))))
+        value = data.draw(st.sampled_from(SUBSTITUTES))
+        with tempfile.TemporaryDirectory() as td:
+            p = Path(td, "scn.json")
+            p.write_text(json.dumps(substituted(d, path, value)))
+            code, err = _run_main(["simulate", "--scenario", str(p), "--out", str(Path(td, "o"))])
+        assert code in (0, 2), err
+        # a legal but huge value (a strength of 2**70, say) can overflow the run, which is
+        # reported as a diverged sampler instead
+        if code == 2 and not err.startswith("error: sampler diverged"):
+            assert err.startswith("error: ") and blamed_key(path) in err, err

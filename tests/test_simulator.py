@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from scenario_json import SUBSTITUTES, blamed_key, key_paths, small_scenario_dicts, substituted
 from maxfusion import (
     AVERAGED,
     PRESET_NAMES,
@@ -389,6 +390,12 @@ class TestDivergence:
             with pytest.raises(ValueError, match="diverged: the final sample is non-finite"):
                 sample(scn)
 
+    def test_final_sample_past_float32_range_reported(self):
+        # finite in float64, but the CLI writes it as float32
+        scn = replace(tiny_scenario(), strategy="unconditional", prior_std=1e39)
+        with pytest.raises(ValueError, match="final sample is non-finite in float32"):
+            sample(scn)
+
 
 class TestConditionError:
     def test_perfect_match_scores_zero(self):
@@ -470,57 +477,6 @@ class TestPresets:
                 assert sigma[inside].mean() > 0.0
 
 
-DELETE = object()  # substitute that removes the key instead of replacing its value
-SUBSTITUTES = (
-    None, True, False, 0, -1, 1.5, math.nan, math.inf, -math.inf, 2**70, "x",
-    [], [[0.5, 0.5]], [[0.5], [0.5, 0.5]], {}, DELETE,
-)
-
-
-def key_paths(node, path=()):
-    """Every key path into a JSON-shaped value, list indices included."""
-    if isinstance(node, (dict, list)):
-        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
-            yield path + (key,)
-            yield from key_paths(child, path + (key,))
-
-
-def substituted(d, path, value):
-    d = copy.deepcopy(d)
-    parent = d
-    for key in path[:-1]:
-        parent = parent[key]
-    if value is DELETE:
-        del parent[path[-1]]
-    else:
-        parent[path[-1]] = value
-    return d
-
-
-@st.composite
-def small_scenario_dicts(draw):
-    """A valid JSON scenario: a grid of up to 3x3, 0-2 branches, a 3-step schedule."""
-    h, w = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    channels = draw(st.sampled_from((4, 8)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    branches = [
-        Branch(
-            mask=rng.uniform(size=(h, w)),
-            target=rng.normal(size=(h, w)),
-            embedding=branch_embedding(channels, i),
-        )
-        for i in range(draw(st.integers(0, 2)))
-    ]
-    scn = Scenario(
-        height=h, width=w, channels=channels,
-        schedule=NoiseSchedule.linear(steps=3), branches=branches,
-    )
-    d = scenario_to_dict(scn)
-    if draw(st.booleans()):
-        d["schedule"] = {"steps": 3, "beta_start": 0.01, "beta_end": 0.2}
-    return d
-
-
 class TestScenarioJsonFuzz:
     @settings(max_examples=600, deadline=None)
     @given(data=st.data())
@@ -528,7 +484,7 @@ class TestScenarioJsonFuzz:
         d = data.draw(small_scenario_dicts())
         path = data.draw(st.sampled_from(list(key_paths(d))))
         value = data.draw(st.sampled_from(SUBSTITUTES))
-        key = [k for k in path if isinstance(k, str)][-1]  # list items blame their array
+        key = blamed_key(path)
         try:
             scn = scenario_from_dict(substituted(d, path, value))
         except ValueError as exc:
