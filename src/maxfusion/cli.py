@@ -281,15 +281,15 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _add_fusion_flags(sp) -> None:
+def _add_fusion_flags(sp, renorm_help: str) -> None:
     sp.add_argument("--delta", type=float, default=None, help=f"correlation gate threshold (default {FusionConfig.delta})")
-    sp.add_argument("--no-renorm", action="store_true", help="disable loser std renormalization in unmerge")
+    sp.add_argument("--no-renorm", action="store_true", help=renorm_help)
 
 
 def _add_scenario_flags(sp) -> None:
     sp.add_argument("--preset", default=None, help=f"named scenario: {', '.join(PRESET_NAMES)}")
     sp.add_argument("--scenario", default=None, help="path to a scenario JSON file")
-    _add_fusion_flags(sp)
+    _add_fusion_flags(sp, "recorded in simulate's trace.json; cannot change a sampled run")
     sp.add_argument("--seed", type=int, default=None, help=f"override the run seed (default {Scenario.seed})")
     sp.add_argument("--out", default="./out", help="output directory (default ./out)")
 
@@ -309,7 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     fu = sub.add_parser("fuse", help="merge 2+ tensors, writing fused and unmerged outputs")
     fu.add_argument("inputs", nargs="+", metavar="TENSOR", help="2 or more MXFT tensor files")
-    _add_fusion_flags(fu)
+    _add_fusion_flags(fu, "disable loser std renormalization in unmerge")
     fu.add_argument("--out", default="./out")
     fu.set_defaults(func=cmd_fuse)
 

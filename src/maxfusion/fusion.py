@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .stats import EPSILON_NORM, _normalize, _pair_pass
-from .tensor_core import AVERAGED, FeatureMap, SelectionMask, SpatialMap
+from .tensor_core import AVERAGED, FeatureMap, SelectionMask, SpatialMap, _check_finite
 
 #: A gate threshold above rho's ceiling of 1, so the merge never averages.
 MAX_SELECT_DELTA = 2.0
@@ -202,7 +202,7 @@ def unmerge_pair(
         with np.errstate(over="ignore"):
             merged = np.multiply(scale, eff, out=np.empty_like(eff), dtype=np.float64)
         np.copyto(merged, datas[i], where=(lost & ~rescalable)[np.newaxis])
-        out.append(FeatureMap._adopt(merged))
+        out.append(FeatureMap._adopt(_check_finite(merged)))
     return out[0], out[1]
 
 

@@ -39,7 +39,7 @@ from functools import partial
 import numpy as np
 
 from .fusion import MAX_SELECT_DELTA, FusionConfig, _merge_chain, naive_average
-from .tensor_core import FeatureMap, SelectionMask, _freeze
+from .tensor_core import FeatureMap, SelectionMask, _check_finite, _freeze
 
 STRATEGIES = ("maxfusion", "naive", "max_select", "single", "unconditional")
 #: Each preset branch: its mask rectangle (rows r0:r1, columns c0:c1) and constant target.
@@ -61,6 +61,13 @@ MAX_FEATURE_VALUES = 1 << 24  # channels * height * width of one branch feature
 def _bad(path: str, want: str, value) -> ValueError:
     shown = {list: "an array", dict: "an object"}.get(type(value)) or repr(value)
     return ValueError(f"scenario field '{path}' must be {want}, got {shown}")
+
+
+def _integer(path: str, value) -> int:
+    """value as an int if it is one (a numpy integer included, a bool not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise _bad(path, "an integer", value)
+    return int(value)
 
 
 class NoiseSchedule:
@@ -93,7 +100,7 @@ class NoiseSchedule:
 
     @classmethod
     def linear(cls, steps: int = 50, beta_start: float = 1e-4, beta_end: float = 0.02):
-        if not 1 <= steps <= MAX_STEPS:
+        if not 1 <= (steps := _integer("schedule.steps", steps)) <= MAX_STEPS:
             raise _bad("schedule.steps", f"in [1, {MAX_STEPS}]", steps)
         for key, beta in (("beta_start", beta_start), ("beta_end", beta_end)):
             if not 0.0 < beta < 1.0:
@@ -199,6 +206,9 @@ class Scenario:
     readout: np.ndarray | None = None
 
     def __post_init__(self):
+        # Python ints, so the size product below cannot wrap as a numpy integer's would
+        for key in ("height", "width", "channels", "seed", "single_branch"):
+            object.__setattr__(self, key, _integer(key, getattr(self, key)))
         # sizes first: the default read-out below is allocated from them
         sizes = {"height": MAX_GRID_SIDE, "width": MAX_GRID_SIDE, "channels": MAX_CHANNELS}
         for key, hi in sizes.items():
@@ -340,7 +350,7 @@ def branch_encode(scenario: Scenario, b: int, x0_hat: np.ndarray) -> FeatureMap:
     br = scenario.branches[b]
     signal = br.strength * br.mask * (br.target - np.asarray(x0_hat, dtype=np.float64))
     data = br.embedding[:, np.newaxis, np.newaxis] * signal[np.newaxis]
-    return FeatureMap._adopt(data.astype(np.float32))
+    return FeatureMap._adopt(_check_finite(data.astype(np.float32)))  # the divergence detector
 
 
 def decode_guidance(f_eff: FeatureMap, readout: np.ndarray) -> np.ndarray:
@@ -434,10 +444,7 @@ def sample(scenario: Scenario, record_trace: bool = False) -> RunReport:
                 abar = float(sched.alpha_bar[t])
                 x0_hat = (x + (1.0 - abar) * score) / math.sqrt(abar)
                 feats = _encode_branches(scenario, x0_hat, t)
-                try:
-                    f_eff, events = _apply_strategy(scenario, cfg, feats)
-                except ValueError as exc:
-                    raise ValueError(f"sampler diverged at step t={t} in fusion: {exc}") from None
+                f_eff, events = _apply_strategy(scenario, cfg, feats)
                 if lam != 0.0:
                     s_eff = score + lam * decode_guidance(f_eff, scenario.readout)
             beta = float(sched.betas[t])
@@ -537,10 +544,7 @@ def preset_scenario(name: str) -> Scenario:
     return Scenario(height=h, width=w, branches=branches)
 
 
-def _integer(value, path: str) -> int:
-    """A JSON integer; bools, floats such as 16.5 and strings are rejected."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise _bad(path, "an integer", value)
+def _as_is(value, path: str):  # an integer field: Scenario or NoiseSchedule.linear checks it
     return value
 
 
@@ -600,18 +604,18 @@ def _present(d: dict, prefix: str, converters: dict, required=(), nested=()) -> 
 
 
 _SCENARIO_FIELDS = {
-    "height": _integer,
-    "width": _integer,
-    "channels": _integer,
+    "height": _as_is,
+    "width": _as_is,
+    "channels": _as_is,
     "guidance_weight": _number,
     "prior_mean": _number,
     "prior_std": _number,
-    "seed": _integer,
+    "seed": _as_is,
     "strategy": _string,
-    "single_branch": _integer,
+    "single_branch": _as_is,
     "readout": _float_array,
 }
-_LINEAR_SCHEDULE_FIELDS = {"steps": _integer, "beta_start": _number, "beta_end": _number}
+_LINEAR_SCHEDULE_FIELDS = {"steps": _as_is, "beta_start": _number, "beta_end": _number}
 _FUSION_FIELDS = {"delta": _number, "renormalize": _boolean, "epsilon_norm": _number}
 _BRANCH_REQUIRED = ("mask", "target", "embedding")
 _BRANCH_FIELDS = {**dict.fromkeys(_BRANCH_REQUIRED, _float_array), "strength": _number}
@@ -639,10 +643,10 @@ def scenario_from_dict(d: dict) -> Scenario:
     Only the keys present are converted, each by the converter of its
     JSON type, and a wrong type names the dotted field path
     (``fusion.delta``, ``branches[0].mask``), as does a key that no
-    converter takes.  Ranges, sizes and indices are checked by the
-    constructors the values reach (Scenario, NoiseSchedule, FusionConfig,
-    Branch), which name the field the same way.  Absent keys take their
-    defaults.  The schedule accepts either an explicit {"betas": [...]}
+    converter takes.  Integer types, ranges, sizes and indices are
+    checked by the constructors the values reach (Scenario, NoiseSchedule,
+    FusionConfig, Branch), which name the field the same way.  Absent
+    keys take their defaults.  The schedule accepts either an explicit {"betas": [...]}
     list or linear parameters {"steps", "beta_start", "beta_end"}, never
     both.
     """

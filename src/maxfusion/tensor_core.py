@@ -5,22 +5,23 @@ conditioning branch's output at one fusion site.  A spatial map is an
 (H, W) field of float64 scalars derived from feature maps (std maps,
 normalized-std maps, correlation maps).  A selection mask records the
 per-location outcome of a fusion decision: averaged, or won wholesale
-by one branch.  All three are immutable after construction and reject
-non-finite values at every boundary, so downstream arithmetic never
-has to guard against NaN or infinity.
+by one branch.  All three are immutable after construction and hold
+only finite values, so downstream arithmetic never has to guard
+against NaN or infinity.
 
 The three share one private base, ``_Frozen``: the ``shape``,
 ``height`` and ``width`` accessors, an equality over each class's
 declared fields that never holds across classes, no hash, and for the
 two float maps one constructor body that differs only in rank and dtype.
 
-The public constructors copy their input, because the caller may still
-hold and later mutate it.  An array the library has just allocated
-itself, and that nothing else references, is adopted instead: the
-private ``_adopt`` constructor runs the same shape, range and
-finiteness checks and freezes the array in place, but does not copy
-it.  MXFT reads, the statistics maps and every fusion output take that
-path, so each feature byte is moved once.
+Values are checked where they enter or where arithmetic can overflow.
+The public constructors copy and check their input, which the caller
+may still hold and mutate.  An array the library has just allocated,
+and that nothing else references, is adopted instead: the private
+``_adopt`` freezes it in place unchecked, so its caller owes the
+container's rank, dtype and range.  MXFT reads, statistics maps and
+fusion outputs adopt, so each feature byte moves once; only an MXFT
+payload and a float32 cast of float64 values are checked first.
 
 On-disk tensor format (MXFT, little-endian throughout):
 
@@ -60,11 +61,12 @@ class TensorFormatError(ValueError):
     """A byte stream does not parse as a valid MXFT tensor."""
 
 
-def _check_finite(arr: np.ndarray) -> None:
+def _check_finite(arr: np.ndarray) -> np.ndarray:
     finite = np.isfinite(arr)
     if not finite.all():
         idx = int(np.argmin(finite.ravel()))
         raise ValueError(f"non-finite value at index {idx}")
+    return arr
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -83,32 +85,28 @@ class _Frozen:
     """Base of the three containers: construction, shape and equality.
 
     ``_fields`` names the slots equality compares, the frozen array first.
-    The float maps' shared ``_fill`` reads ``_ndim``, ``_dtype`` and ``_what``.
+    The float maps' shared constructor reads ``_ndim``, ``_dtype`` and ``_what``.
     """
 
     __slots__ = ()
     _fields = ("data",)
 
     def __init__(self, data: np.ndarray):
-        self._fill(data, copy=True)
-
-    @classmethod
-    def _adopt(cls, *args):
-        """Wrap arrays the library just allocated and nothing else references.
-
-        Same checks as the public constructor, without its copy; the
-        arrays are frozen in place.
-        """
-        obj = cls.__new__(cls)
-        obj._fill(*args, copy=False)
-        return obj
-
-    def _fill(self, data, copy: bool) -> None:
         arr = np.asarray(data)
         _check_dims(arr, self._ndim, self._what)
-        arr = arr.astype(self._dtype, copy=copy)
-        _check_finite(arr)
-        self.data = _freeze(arr)
+        self.data = _freeze(_check_finite(arr.astype(self._dtype)))
+
+    @classmethod
+    def _adopt(cls, data: np.ndarray, *rest):
+        """Freeze, neither copy nor check, an array the library just allocated.
+
+        It must have the container's rank, dtype and range; ``rest`` fills
+        the remaining ``_fields`` (a mask's n_branches).
+        """
+        obj = cls.__new__(cls)
+        for name, value in zip(cls._fields, (_freeze(data), *rest)):
+            setattr(obj, name, value)
+        return obj
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -179,13 +177,13 @@ class SpatialMap(_Frozen):
     def from_feature_map(cls, fm: FeatureMap) -> "SpatialMap":
         if fm.channels != 1:
             raise ValueError(f"need C=1 to reinterpret as spatial map, got C={fm.channels}")
-        return cls(fm.data[0])
+        return cls._adopt(fm.data[0].astype(np.float64))
 
     def to_feature_map(self) -> FeatureMap:
         """Reinterpret as a C=1 feature map (float32 cast) for MXFT export."""
         with np.errstate(over="ignore"):  # out-of-range values fail the finite check
             data = self.data[np.newaxis].astype(np.float32)
-        return FeatureMap._adopt(data)
+        return FeatureMap._adopt(_check_finite(data))
 
     def __repr__(self) -> str:
         return f"SpatialMap(H={self.height}, W={self.width})"
@@ -205,14 +203,11 @@ class SelectionMask(_Frozen):
     __slots__ = _fields = ("codes", "n_branches")
 
     def __init__(self, codes: np.ndarray, n_branches: int):
-        self._fill(codes, n_branches, copy=True)
-
-    def _fill(self, codes, n_branches: int, copy: bool) -> None:
         arr = np.asarray(codes)
         _check_dims(arr, 2, "an (H, W) code")
         if n_branches < 1:
             raise ValueError(f"n_branches must be >= 1, got {n_branches}")
-        arr = arr.astype(np.int32, copy=copy)
+        arr = arr.astype(np.int32)
         if arr.min(initial=AVERAGED) < AVERAGED or arr.max(initial=0) >= n_branches:
             raise ValueError(
                 f"selection codes must be {AVERAGED} (averaged) or a branch index "
@@ -276,11 +271,11 @@ def read_tensor(source: BinaryIO) -> FeatureMap:
         raise TensorFormatError(f"unsupported ndim {ndim} (supported: 3)")
     if min(c, h, w) < 1:
         raise TensorFormatError(f"invalid dims ({c}, {h}, {w}): all must be >= 1")
-    return FeatureMap._adopt(_read_payload(source, c, h, w))
+    return FeatureMap._adopt(_check_finite(_read_payload(source, c, h, w)))
 
 
 def _read_payload(source: BinaryIO, c: int, h: int, w: int) -> np.ndarray:
-    """Read the (c, h, w) '<f4' payload, allocating no more than the stream holds.
+    """The (c, h, w) '<f4' payload as native float32, allocating no more than the stream holds.
 
     A header may claim any size, so a seekable stream is checked against
     its remaining length first and, when that suffices, read straight
@@ -310,7 +305,7 @@ def _read_payload(source: BinaryIO, c: int, h: int, w: int) -> np.ndarray:
             f"truncated payload for dims ({c}, {h}, {w}): "
             f"expected {nbytes} bytes, got {got}"
         )
-    return arr.reshape(c, h, w)
+    return arr.reshape(c, h, w).astype(np.float32, copy=False)
 
 
 def read_spatial_map(source: BinaryIO) -> SpatialMap:

@@ -341,6 +341,11 @@ PYTHON_OVER_BOUND = {
         "'channels' * 'height' * 'width'",
         lambda: Scenario(height=1024, width=1024, channels=17),
     ),
+    # as int32 the product is 2**32, which wraps to 0
+    "product_int32": (
+        "'channels' * 'height' * 'width'",
+        lambda: Scenario(height=np.int32(1024), width=np.int32(1024), channels=np.int32(4096)),
+    ),
     "single_branch": (
         "'single_branch'",
         lambda: replace(preset_scenario("contradictory"), single_branch=-1),

@@ -241,6 +241,29 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="single_branch"):
             tiny_scenario(strategy="single", single_branch=3)
 
+    @pytest.mark.parametrize(
+        "key, call",
+        [
+            ("height", lambda: Scenario(height=4.5, width=4)),
+            ("width", lambda: Scenario(height=4, width="4")),
+            ("channels", lambda: tiny_scenario(channels=np.float64(8.0))),
+            ("seed", lambda: Scenario(height=4, width=4, seed=1.5)),
+            ("single_branch", lambda: tiny_scenario(strategy="single", single_branch=True)),
+            ("schedule.steps", lambda: NoiseSchedule.linear(steps=4.5)),
+        ],
+    )
+    def test_integer_fields_reject_non_integers(self, key, call):
+        with pytest.raises(ValueError, match=rf"^scenario field '{key}' must be an integer, got "):
+            call()
+
+    def test_numpy_integers_accepted_as_ints(self):
+        sized = dict(height=np.int64(6), width=np.uint16(6), channels=np.int32(8))
+        scn = tiny_scenario(**sized, seed=np.int8(7), single_branch=np.int64(0))
+        for key in (*sized, "seed", "single_branch"):
+            assert type(getattr(scn, key)) is int
+        assert sample(scn).same_outputs(sample(tiny_scenario()))
+        assert NoiseSchedule.linear(steps=np.int64(10)).steps == 10
+
     def test_json_roundtrip_preserves_run_outputs(self):
         scn = preset_scenario("contradictory")
         back = scenario_from_dict(scenario_to_dict(scn))
