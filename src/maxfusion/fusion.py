@@ -27,8 +27,9 @@ on exact sigma_hat equality go to the lowest branch index, which keeps
 the left fold below order-stable.
 
 More than two branches fold pairwise: merge the first two, then merge
-each following branch into the running fused feature, unmerging at
-every step.
+each following branch into the running fused feature.  Each step
+unmerges its incoming branch; only the last step also unmerges the
+running chain, whose earlier updates the next step would overwrite.
 """
 
 from __future__ import annotations
@@ -91,9 +92,9 @@ class FoldResult:
     """Output of the incremental N-branch fold.
 
     f_eff is the final fused feature; updated holds each input branch's
-    post-unmerge feature (slot 0 tracks the running fused chain, so its
-    update from the last fold step overwrites earlier ones); pair_results
-    keeps the per-step merge diagnostics in fold order.
+    post-unmerge feature (slot 0 tracks the running fused chain and holds
+    its update from the last fold step, the only one unmerged);
+    pair_results keeps the per-step merge diagnostics in fold order.
     """
 
     f_eff: FeatureMap
@@ -135,8 +136,9 @@ def merge_pair(f1: FeatureMap, f2: FeatureMap, cfg: FusionConfig | None = None) 
     winner = (s2_hat > s1_hat).astype(np.int32)  # exact ties go to branch 0
     codes = np.where(rho >= cfg.delta, AVERAGED, winner)
     # the average buffer becomes f_eff: won locations take the winner's vector
-    np.copyto(avg, f1.data, where=(codes == 0)[np.newaxis])
-    np.copyto(avg, f2.data, where=(codes == 1)[np.newaxis])
+    for b, x in enumerate((f1.data, f2.data)):
+        if (won := codes == b).any():
+            np.putmask(avg, np.broadcast_to(won, avg.shape), x)
     return PairFusionResult(
         f_eff=FeatureMap._adopt(avg),
         selection=SelectionMask._adopt(codes, 2),
@@ -158,6 +160,43 @@ def pure_max_select(
     return merge_pair(f1, f2, replace(cfg or FusionConfig(), delta=MAX_SELECT_DELTA))
 
 
+class _RescaleOverflow(ValueError):
+    """A loser rescale left the float32 range while unmerging pair slot ``slot`` (0 or 1).
+
+    Inside a fold, ``pair`` numbers the step from 1 and the message names
+    the fold's branch (0 for the running chain, else the incoming one).
+    """
+
+    def __init__(self, slot: int, detail: str, pair: int | None = None):
+        self.slot, self.detail = slot, detail
+        where = "unmerge" if pair is None else f"unmerge of pair {pair}"
+        branch = slot if pair is None else (0, pair)[slot]
+        super().__init__(f"{where} overflowed float32 rescaling branch {branch} ({detail})")
+
+
+def _unmerge_slot(
+    x: np.ndarray, result: PairFusionResult, slot: int, cfg: FusionConfig
+) -> FeatureMap:
+    """One side of unmerge_pair: the update of pair slot ``slot``, whose input data is x."""
+    codes = result.selection.codes
+    own_sigma, win_sigma = result.sigma[slot].data, result.sigma[1 - slot].data
+    lost = codes == (1 - slot)
+    rescalable = lost & (win_sigma >= cfg.epsilon_norm) & cfg.renormalize
+    # scale 1 keeps f_eff: the fused vector, or this branch's own where it won
+    scale = np.ones(codes.shape)
+    np.divide(own_sigma, win_sigma, out=scale, where=rescalable)
+    eff = result.f_eff.data
+    # an overflowing rescale is reported by the finite check, not a warning
+    with np.errstate(over="ignore"):
+        merged = np.multiply(scale, eff, out=np.empty_like(eff), dtype=np.float64)
+    if (kept := lost & ~rescalable).any():
+        np.copyto(merged, x, where=kept[np.newaxis])
+    try:
+        return FeatureMap._adopt(_check_finite(merged))
+    except ValueError as exc:
+        raise _RescaleOverflow(slot, str(exc)) from None
+
+
 def unmerge_pair(
     f1: FeatureMap,
     f2: FeatureMap,
@@ -177,7 +216,8 @@ def unmerge_pair(
     sigma_loser yields the zero vector; a winner sigma below
     epsilon_norm leaves the loser untouched (rescaling toward a
     zero-signal winner would only erase information).  Without
-    renormalization losers always keep their original vectors.
+    renormalization losers always keep their original vectors.  A
+    rescale that overflows float32 raises ValueError naming the branch.
     """
     cfg = cfg or FusionConfig()
     _require_same_shape((f1, f2, result.f_eff))
@@ -185,25 +225,7 @@ def unmerge_pair(
     for name, m in [("selection", result.selection), *(("sigma", s) for s in result.sigma)]:
         if m.shape != spatial:
             raise ValueError(f"{name} shape mismatch: {m.shape} vs {spatial}")
-    codes = result.selection.codes
-    eff = result.f_eff.data
-    eps = cfg.epsilon_norm
-    datas = (f1.data, f2.data)
-    sigmas = tuple(s.data for s in result.sigma)
-    out = []
-    for i in (0, 1):
-        own_sigma, win_sigma = sigmas[i], sigmas[1 - i]
-        lost = codes == (1 - i)
-        rescalable = lost & (win_sigma >= eps) & cfg.renormalize
-        # scale 1 keeps f_eff: the fused vector, or this branch's own where it won
-        scale = np.ones(spatial)
-        np.divide(own_sigma, win_sigma, out=scale, where=rescalable)
-        # an overflowing rescale is reported by the finite check, not a warning
-        with np.errstate(over="ignore"):
-            merged = np.multiply(scale, eff, out=np.empty_like(eff), dtype=np.float64)
-        np.copyto(merged, datas[i], where=(lost & ~rescalable)[np.newaxis])
-        out.append(FeatureMap._adopt(_check_finite(merged)))
-    return out[0], out[1]
+    return _unmerge_slot(f1.data, result, 0, cfg), _unmerge_slot(f2.data, result, 1, cfg)
 
 
 def _merge_chain(branches, cfg: FusionConfig) -> tuple[PairFusionResult, ...]:
@@ -217,11 +239,13 @@ def _merge_chain(branches, cfg: FusionConfig) -> tuple[PairFusionResult, ...]:
 def maxfusion_fold(branches: list[FeatureMap], cfg: FusionConfig | None = None) -> FoldResult:
     """Incrementally fold N branches through pairwise merge + unmerge.
 
-    The running feature starts as branch 0; each remaining branch is
-    merged into it in order, the pair is unmerged (slot 0 receives the
-    running chain's update, slot i the incoming branch's), and the
-    fused f_eff carries forward.  With exactly two branches this is
-    merge_pair followed by unmerge_pair, verbatim.
+    The running feature starts as branch 0; each remaining branch i is
+    merged into it in order as pair i, the incoming branch is unmerged
+    into slot i, and the fused f_eff carries forward.  Only the last pair
+    also unmerges the running chain into slot 0, since each later step
+    would overwrite that update.  With exactly two branches this is
+    merge_pair followed by unmerge_pair, verbatim.  A rescale that
+    overflows float32 raises ValueError naming the pair and the branch.
     """
     cfg = cfg or FusionConfig()
     if len(branches) < 2:
@@ -231,6 +255,12 @@ def maxfusion_fold(branches: list[FeatureMap], cfg: FusionConfig | None = None) 
     running = branches[0]
     updated = list(branches)
     for i, res in enumerate(pair_results, start=1):
-        updated[0], updated[i] = unmerge_pair(running, branches[i], res, cfg)
+        try:
+            if i < len(pair_results):
+                updated[i] = _unmerge_slot(branches[i].data, res, 1, cfg)
+            else:
+                updated[0], updated[i] = unmerge_pair(running, branches[i], res, cfg)
+        except _RescaleOverflow as exc:
+            raise _RescaleOverflow(exc.slot, exc.detail, pair=i) from None
         running = res.f_eff
     return FoldResult(f_eff=running, updated=tuple(updated), pair_results=pair_results)

@@ -39,7 +39,7 @@ from functools import partial
 import numpy as np
 
 from .fusion import MAX_SELECT_DELTA, FusionConfig, _merge_chain, naive_average
-from .tensor_core import FeatureMap, SelectionMask, _check_finite, _freeze
+from .tensor_core import FeatureMap, SelectionMask, _check_finite, _freeze, _integer, _shown
 
 STRATEGIES = ("maxfusion", "naive", "max_select", "single", "unconditional")
 #: Each preset branch: its mask rectangle (rows r0:r1, columns c0:c1) and constant target.
@@ -59,15 +59,7 @@ MAX_FEATURE_VALUES = 1 << 24  # channels * height * width of one branch feature
 
 
 def _bad(path: str, want: str, value) -> ValueError:
-    shown = {list: "an array", dict: "an object"}.get(type(value)) or repr(value)
-    return ValueError(f"scenario field '{path}' must be {want}, got {shown}")
-
-
-def _integer(path: str, value) -> int:
-    """value as an int if it is one (a numpy integer included, a bool not)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise _bad(path, "an integer", value)
-    return int(value)
+    return ValueError(f"scenario field '{path}' must be {want}, got {_shown(value)}")
 
 
 class NoiseSchedule:
@@ -100,7 +92,7 @@ class NoiseSchedule:
 
     @classmethod
     def linear(cls, steps: int = 50, beta_start: float = 1e-4, beta_end: float = 0.02):
-        if not 1 <= (steps := _integer("schedule.steps", steps)) <= MAX_STEPS:
+        if not 1 <= (steps := _integer("scenario field 'schedule.steps'", steps)) <= MAX_STEPS:
             raise _bad("schedule.steps", f"in [1, {MAX_STEPS}]", steps)
         for key, beta in (("beta_start", beta_start), ("beta_end", beta_end)):
             if not 0.0 < beta < 1.0:
@@ -208,7 +200,7 @@ class Scenario:
     def __post_init__(self):
         # Python ints, so the size product below cannot wrap as a numpy integer's would
         for key in ("height", "width", "channels", "seed", "single_branch"):
-            object.__setattr__(self, key, _integer(key, getattr(self, key)))
+            object.__setattr__(self, key, _integer(f"scenario field '{key}'", getattr(self, key)))
         # sizes first: the default read-out below is allocated from them
         sizes = {"height": MAX_GRID_SIDE, "width": MAX_GRID_SIDE, "channels": MAX_CHANNELS}
         for key, hi in sizes.items():
@@ -273,7 +265,8 @@ class SelectionStats:
 
     @classmethod
     def from_mask(cls, mask: SelectionMask) -> "SelectionStats":
-        return cls(mask.averaged_fraction(), mask.win_fractions())
+        averaged, *wins = mask._fractions()
+        return cls(averaged, tuple(wins))
 
 
 @dataclass(eq=False)

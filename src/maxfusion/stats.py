@@ -112,7 +112,9 @@ def _pair_pass(x1: np.ndarray, x2: np.ndarray, eps: float):
         rho[rows] = _cosine(a, b, eps)
         sigma1[rows] = _std(a)
         sigma2[rows] = _std(b)
-        np.divide(np.add(a, b, out=a), 2.0, out=mean[:, rows])
+        # a * 0.5 and a / 2 are the same real number, so they round alike; cast last
+        np.multiply(np.add(a, b, out=a), 0.5, out=a)
+        mean[:, rows] = a
     return rho, sigma1, sigma2, mean
 
 

@@ -69,6 +69,18 @@ def _check_finite(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _shown(value) -> str:
+    """value as an error message shows it: a list or dict by its JSON kind, else its repr."""
+    return {list: "an array", dict: "an object"}.get(type(value)) or repr(value)
+
+
+def _integer(name: str, value) -> int:
+    """value as an int if it is one (a numpy integer included, a bool not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {_shown(value)}")
+    return int(value)
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -151,11 +163,12 @@ def make_feature_map(
 ) -> FeatureMap:
     """Build a FeatureMap from a flat row-major (c, j, k) value sequence.
 
-    The data is copied, never aliased.  Raises ValueError on a length
-    mismatch or any non-finite element (reported by flat index).
+    The data is copied, never aliased.  Raises ValueError on a dim that
+    is not an integer >= 1, a length mismatch or any non-finite element
+    (reported by flat index).
     """
     for name, n in (("channels", channels), ("height", height), ("width", width)):
-        if int(n) < 1:
+        if _integer(name, n) < 1:
             raise ValueError(f"{name} must be >= 1, got {n}")
     flat = np.asarray(data, dtype=np.float32).ravel()
     expected = channels * height * width
@@ -205,7 +218,7 @@ class SelectionMask(_Frozen):
     def __init__(self, codes: np.ndarray, n_branches: int):
         arr = np.asarray(codes)
         _check_dims(arr, 2, "an (H, W) code")
-        if n_branches < 1:
+        if (n_branches := _integer("n_branches", n_branches)) < 1:
             raise ValueError(f"n_branches must be >= 1, got {n_branches}")
         arr = arr.astype(np.int32)
         if arr.min(initial=AVERAGED) < AVERAGED or arr.max(initial=0) >= n_branches:
@@ -214,13 +227,21 @@ class SelectionMask(_Frozen):
                 f"< {n_branches}, got range [{arr.min()}, {arr.max()}]"
             )
         self.codes = _freeze(arr)
-        self.n_branches = int(n_branches)
+        self.n_branches = n_branches
+
+    def _fractions(self) -> tuple[float, ...]:
+        """Share of locations per code: averaged first, then each branch's wins.
+
+        A count over the size is the same float as the mean of a bool array.
+        """
+        counts = np.bincount(self.codes.ravel() - AVERAGED, minlength=self.n_branches + 1)
+        return tuple((counts / self.codes.size).tolist())
 
     def averaged_fraction(self) -> float:
-        return float(np.mean(self.codes == AVERAGED))
+        return self._fractions()[0]
 
     def win_fractions(self) -> tuple[float, ...]:
-        return tuple(float(np.mean(self.codes == b)) for b in range(self.n_branches))
+        return self._fractions()[1:]
 
     def tag_map(self) -> FeatureMap:
         """Numeric tags as a C=1 tensor (-1.0 averaged, b.0 winner) for MXFT export."""

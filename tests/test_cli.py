@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import string
 import struct
 import tempfile
@@ -50,6 +51,13 @@ def write_tensor_file(path, fm: FeatureMap) -> None:
 def load_tensor_file(path) -> FeatureMap:
     with open(path, "rb") as fh:
         return read_tensor(fh)
+
+
+BIG = np.float32(1e38)
+UP = np.nextafter(BIG, np.float32(np.inf))
+FLOAT32_MAX = np.finfo(np.float32).max
+#: float32 values at and near +-max, and the 1e35 spread whose rescale onto them overflows
+NEAR_MAX = [float(s * v) for s in (1, -1) for v in (FLOAT32_MAX, UP, BIG, np.float32(1e35))]
 
 
 def random_tensor(seed, shape=(4, 5, 6)) -> FeatureMap:
@@ -185,6 +193,21 @@ class TestFuseCommand:
         bad.write_bytes(damage(good.read_bytes()))
         assert main([command, str(good), str(bad), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith(f"error: {bad}: {message}")
+
+    def test_overflowing_unmerge_exits_2_naming_pair_and_branch(self, tmp_path, capsys):
+        # branch 0 wins near 1e38 with a tiny spread; rescaling branch 1 (spread 1e35)
+        # onto its vector overflows float32, a rescale --no-renorm never makes
+        quiet, loud = tmp_path / "quiet.mxft", tmp_path / "loud.mxft"
+        write_tensor_file(quiet, make_feature_map(4, 1, 1, [BIG, UP, BIG, UP]))
+        write_tensor_file(loud, make_feature_map(4, 1, 1, [1e35, -1e35, 1e35, -1e35]))
+        argv = ["fuse", str(quiet), str(loud), "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: unmerge of pair 1 overflowed float32 rescaling branch 1 "
+            "(non-finite value at index 0)\n"
+        )
+        assert not (tmp_path / "o").exists()
+        assert main([*argv, "--no-renorm"]) == 0
 
     def test_single_input_rejected(self, tmp_path):
         src = tmp_path / "t.mxft"
@@ -646,6 +669,28 @@ class TestMainFuzz:
                 assert code in (0, 2), err
                 if code == 2:  # a header reshaped to the same value count reads fine
                     assert err.startswith(f"error: {bad}: ") or "shape mismatch" in err, err
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n_maps=st.integers(2, 3),
+        width=st.integers(1, 2),
+        values=st.lists(st.sampled_from(NEAR_MAX) | st.floats(-2, 2, width=32), min_size=24,
+                        max_size=24),
+    )
+    @example(n_maps=2, width=1, values=[BIG, UP, BIG, UP] + [1e35, -1e35] * 2 + [0.0] * 16)
+    def test_tensor_values_near_float32_max(self, n_maps, width, values):
+        with tempfile.TemporaryDirectory() as td:
+            paths = []
+            for i in range(n_maps):
+                paths.append(str(Path(td, f"t{i}.mxft")))
+                chunk = values[4 * width * i : 4 * width * (i + 1)]
+                write_tensor_file(paths[-1], make_feature_map(4, 1, width, chunk))
+            for argv in (["stats", *paths[:2]], ["fuse", *paths]):
+                code, err = _run_main([*argv, "--out", str(Path(td, "o"))])
+                assert code in (0, 2), err
+                if code == 2:  # only a loser rescale can leave float32
+                    assert re.fullmatch(r"error: unmerge of pair \d overflowed float32 rescaling "
+                                        r"branch \d \(non-finite value at index \d+\)\n", err), err
 
     @settings(max_examples=100, deadline=None)
     @given(

@@ -251,6 +251,58 @@ class TestFold:
             maxfusion_fold([random_map(0)], cfg())
 
 
+BIG = np.float32(1e38)
+UP = np.nextafter(BIG, np.float32(np.inf))
+
+
+def quiet_and_loud() -> tuple[FeatureMap, FeatureMap]:
+    """Two 4x1x2 maps where rescaling loud onto quiet's vector overflows float32.
+
+    At location 0 quiet sits near 1e38 with a spread of half an ulp, and
+    loud's spread is 1e35.  At location 1 quiet is constant, so merged as
+    (loud, quiet) quiet wins location 0 on sigma_hat and loud location 1.
+    """
+    quiet = np.array([[BIG, 1], [UP, 1], [BIG, 1], [UP, 1]], dtype=np.float32)
+    loud = np.tile(np.array([[1e35], [-1e35]], dtype=np.float32), (2, 2))
+    return FeatureMap(quiet.reshape(4, 1, 2)), FeatureMap(loud.reshape(4, 1, 2))
+
+
+class TestUnmergeOverflow:
+    def test_unmerge_pair_names_the_branch(self):
+        quiet, loud = quiet_and_loud()
+        res = merge_pair(loud, quiet)
+        np.testing.assert_array_equal(res.selection.codes, [[1, 0]])
+        with pytest.raises(ValueError, match=r"^unmerge overflowed float32 rescaling branch 0 "
+                                             r"\(non-finite value at index 0\)$"):
+            unmerge_pair(loud, quiet, res)
+
+    def test_fold_names_the_pair_and_the_running_chain(self):
+        quiet, loud = quiet_and_loud()
+        with pytest.raises(ValueError, match=r"^unmerge of pair 1 overflowed float32 rescaling "
+                                             r"branch 0 \(non-finite value at index 0\)$"):
+            maxfusion_fold([loud, quiet])
+
+    def test_fold_names_the_incoming_branch_of_a_later_pair(self):
+        quiet, loud = (FeatureMap(m.data[:, :, :1]) for m in quiet_and_loud())
+        # pair 1 averages quiet with itself; at pair 2 the running quiet wins the tie
+        with pytest.raises(ValueError, match=r"^unmerge of pair 2 overflowed float32 rescaling "
+                                             r"branch 2 \(non-finite value at index 0\)$"):
+            maxfusion_fold([quiet, quiet, loud])
+
+    def test_overflow_only_in_an_overwritten_update_is_never_computed(self):
+        # pair 1's update of the running chain (slot 0) would overflow, but pair 2
+        # replaces it, so the fold skips it and returns what the oracle fold keeps
+        quiet, loud = quiet_and_loud()
+        third = random_map(27, shape=(4, 1, 2))
+        fold = maxfusion_fold([loud, quiet, third], cfg())
+        eff, updated, codes = oracles.fold([b.data for b in (loud, quiet, third)], 0.7, True)
+        np.testing.assert_allclose(fold.f_eff.data, eff, rtol=1e-6)
+        for got, want in zip(fold.updated, updated):
+            np.testing.assert_allclose(got.data, want, rtol=1e-6)
+        for pair, want_codes in zip(fold.pair_results, codes):
+            np.testing.assert_array_equal(pair.selection.codes, want_codes)
+
+
 class TestFusionConfig:
     def test_delta_must_be_finite(self):
         with pytest.raises(ValueError, match="delta"):

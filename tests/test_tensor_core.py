@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxfusion import merge_pair, unmerge_pair
+from maxfusion import SelectionStats, merge_pair, unmerge_pair
 from maxfusion.tensor_core import (
     AVERAGED,
     FeatureMap,
@@ -67,6 +67,18 @@ class TestFeatureMapConstruction:
     def test_nonpositive_dims_rejected(self):
         with pytest.raises(ValueError, match="channels"):
             make_feature_map(0, 1, 1, [])
+
+    @pytest.mark.parametrize("dims, field", [
+        ((2.0, 1, 1), "channels"), ((2.5, 1, 1), "channels"), ((1, True, 2), "height"),
+        ((1, 2, "1"), "width"),
+    ])
+    def test_non_integer_dims_rejected_naming_the_field(self, dims, field):
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer, got "):
+            make_feature_map(*dims, [1.0, 2.0])
+
+    def test_numpy_integer_dims_accepted(self):
+        fm = make_feature_map(np.int64(2), np.uint8(1), np.int32(1), [1.0, 2.0])
+        assert fm.shape == (2, 1, 1)
 
     def test_data_copied_not_aliased(self):
         src = np.ones((1, 2, 2), dtype=np.float32)
@@ -224,10 +236,35 @@ class TestSelectionMask:
         with pytest.raises(ValueError, match="branch index"):
             SelectionMask(np.array([[-2]]), n_branches=2)
 
+    @pytest.mark.parametrize("n_branches", [1.5, 2.0, True, "2", None])
+    def test_non_integer_branch_count_rejected(self, n_branches):
+        with pytest.raises(ValueError, match=r"^n_branches must be an integer, got "):
+            SelectionMask(np.array([[1]]), n_branches=n_branches)
+
+    def test_numpy_integer_branch_count_stored_as_int(self):
+        mask = SelectionMask(np.array([[1]]), n_branches=np.int64(2))
+        assert type(mask.n_branches) is int and mask.n_branches == 2
+
     def test_fractions(self):
         mask = SelectionMask(np.array([[AVERAGED, 0], [1, 1]]), n_branches=2)
         assert mask.averaged_fraction() == 0.25
         assert mask.win_fractions() == (0.25, 0.5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n_branches=st.integers(1, 4),
+        shape=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+        seed=st.integers(0, 2**31),
+    )
+    def test_fractions_equal_the_mean_of_each_code(self, n_branches, shape, seed):
+        codes = np.random.default_rng(seed).integers(AVERAGED, n_branches, size=shape)
+        mask = SelectionMask(codes, n_branches)
+        want = [float(np.mean(codes == b)) for b in range(AVERAGED, n_branches)]
+        got = [mask.averaged_fraction(), *mask.win_fractions()]
+        assert all(type(g) is float for g in got)
+        assert np.array(got).tobytes() == np.array(want).tobytes()  # bit for bit
+        stats = SelectionStats.from_mask(mask)
+        assert [stats.averaged_fraction, *stats.win_fractions] == got
 
     def test_pgm_encoding_clipped(self):
         mask = SelectionMask(np.array([[AVERAGED, 0, 1, 3]]), n_branches=4)
