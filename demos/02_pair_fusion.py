@@ -46,8 +46,7 @@ f_b = grid({
     (1, 1): [0.0, 0.0, 0.0, 0.0],      # silent
 })
 
-cfg = FusionConfig(delta=0.7)
-res = merge_pair(f_a, f_b, cfg)
+res = merge_pair(f_a, f_b, FusionConfig(delta=0.7))
 
 print("rho per location:")
 print(np.array2string(res.rho.data, precision=3))
@@ -55,7 +54,7 @@ print("selection codes (-1 averaged, 0 = A wins, 1 = B wins):")
 print(res.selection.codes)
 print()
 
-u_a, u_b = unmerge_pair(f_a, f_b, res, cfg)
+u_a, u_b = unmerge_pair(f_a, f_b, res)
 sig_a, sig_b = channel_std_map(f_a).data, channel_std_map(f_b).data
 post_a, post_b = channel_std_map(u_a).data, channel_std_map(u_b).data
 

@@ -66,6 +66,15 @@ def _load_feature(path: str) -> FeatureMap:
     return fm
 
 
+def _load_features(paths: list[str]) -> list[FeatureMap]:
+    """Read MXFT files of one shape; a file of another shape is named with the first's."""
+    maps = [_load_feature(p) for p in paths]
+    for path, fm in zip(paths[1:], maps[1:]):
+        if fm.shape != maps[0].shape:
+            raise ValueError(f"{path}: shape mismatch: {fm.shape} vs {paths[0]}'s {maps[0].shape}")
+    return maps
+
+
 def _write(out_dir: Path, name: str, writer, obj) -> None:
     with open(out_dir / name, "wb") as fh:
         writer(obj, fh)
@@ -84,7 +93,7 @@ def _print_summary(obj: dict) -> None:
 def cmd_stats(args) -> int:
     if not 1 <= len(args.inputs) <= 2:
         raise ValueError(f"stats takes 1 or 2 tensor files, got {len(args.inputs)}")
-    maps = [_load_feature(p) for p in args.inputs]
+    maps = _load_features(args.inputs)
     out = _out_dir(args)
     for i, fm in enumerate(maps):
         _write(out, f"sigma_{i}.mxft", write_tensor, channel_std_map(fm))
@@ -102,19 +111,15 @@ def cmd_stats(args) -> int:
 
 
 def _fusion_from_args(cfg: FusionConfig, args) -> FusionConfig:
-    if args.delta is not None:
-        cfg = replace(cfg, delta=args.delta)
-    if args.no_renorm:
-        cfg = replace(cfg, renormalize=False)
-    return cfg
+    return cfg if args.delta is None else FusionConfig(delta=args.delta)
 
 
 def cmd_fuse(args) -> int:
     if len(args.inputs) < 2:
         raise ValueError(f"fuse needs at least 2 tensor files, got {len(args.inputs)}")
-    maps = [_load_feature(p) for p in args.inputs]
+    maps = _load_features(args.inputs)
     cfg = _fusion_from_args(FusionConfig(), args)
-    fold = maxfusion_fold(maps, cfg)
+    fold = maxfusion_fold(maps, cfg, renormalize=not args.no_renorm)
     out = _out_dir(args)
     _write(out, "f_eff.mxft", write_tensor, fold.f_eff)
     final_mask = fold.pair_results[-1].selection
@@ -135,7 +140,7 @@ def cmd_fuse(args) -> int:
         {
             "inputs": len(maps),
             "delta": _jfloat(cfg.delta),
-            "renormalize": cfg.renormalize,
+            "renormalize": not args.no_renorm,
             "averaged_fraction": _jfloat(averaged),
             "win_fractions": [_jfloat(w) for w in pair_wins],
             "out_dir": str(out),
@@ -180,7 +185,6 @@ def cmd_simulate(args) -> int:
     trace = {
         "strategy": scn.strategy,
         "delta": _jfloat(rep.delta),
-        "renormalize": scn.fusion.renormalize,
         "seed": scn.seed,
         "steps": scn.schedule.steps,
         "branch_mse": [_jfloat(m) for m in rep.branch_mse],
@@ -237,40 +241,38 @@ def cmd_ablate(args) -> int:
     return 0
 
 
+def _md_row(cells: list[str]) -> str:
+    return "| " + " | ".join(cells) + " |"
+
+
 def cmd_compare(args) -> int:
     scn = _scenario_from_args(args)
-    variants: list[tuple[str, Scenario]] = [
-        ("naive", replace(scn, strategy="naive")),
-        ("max_select", replace(scn, strategy="max_select")),
-        ("maxfusion", replace(scn, strategy="maxfusion")),
-        (
-            "maxfusion-no-renorm",
-            replace(scn, strategy="maxfusion", fusion=replace(scn.fusion, renormalize=False)),
-        ),
-    ]
-    for b in range(len(scn.branches)):
-        variants.append((f"single({b})", replace(scn, strategy="single", single_branch=b)))
+    n = len(scn.branches)
+    variants = [(s, replace(scn, strategy=s)) for s in ("naive", "max_select", "maxfusion")]
+    variants += [(f"single({b})", replace(scn, strategy="single", single_branch=b))
+                 for b in range(n)]
     variants.append(("unconditional", replace(scn, strategy="unconditional")))
 
     out = _out_dir(args)
-    csv_rows = []
-    md = ["| strategy | " + " | ".join(f"branch {b} MSE" for b in range(len(scn.branches)))
-          + " | averaged fraction |"]
-    md.append("|" + "---|" * (len(scn.branches) + 2))
     reports = {}
     for label, variant in variants:
-        # renormalize acts only in unmerge, whose output sample() drops
-        rep = reports["maxfusion"] if label == "maxfusion-no-renorm" else sample(variant)
-        reports[label] = rep
+        reports[label] = sample(variant)
+        if label == "maxfusion":
+            # the maxfusion run again: sample() never unmerges, so the loser rescale
+            # cannot change it; bench/reference_digests.json still hashes this row
+            reports["maxfusion-no-renorm"] = reports[label]
+    header = ["strategy", *(f"branch {b} MSE" for b in range(n)), "averaged fraction"]
+    md = [_md_row(header), "|" + "---|" * len(header)]
+    csv_rows = []
+    for label, rep in reports.items():
         csv_rows.extend(_csv_rows(label, rep))
-        cells = [label, *map(_fmt, rep.branch_mse), _fmt(rep.averaged_fraction)]
-        md.append("| " + " | ".join(cells) + " |")
+        md.append(_md_row([label, *map(_fmt, rep.branch_mse), _fmt(rep.averaged_fraction)]))
     _write_csv(out / "compare.csv", csv_rows)
     with open(out / "compare.md", "w", encoding="ascii", newline="") as fh:
         fh.write("\n".join(md) + "\n")
     _print_summary(
         {
-            "strategies": [label for label, _ in variants],
+            "strategies": list(reports),
             "max_branch_mse": {
                 label: _jfloat(max(rep.branch_mse)) if rep.branch_mse else None
                 for label, rep in reports.items()
@@ -281,15 +283,14 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _add_fusion_flags(sp, renorm_help: str) -> None:
+def _add_delta_flag(sp) -> None:
     sp.add_argument("--delta", type=float, default=None, help=f"correlation gate threshold (default {FusionConfig.delta})")
-    sp.add_argument("--no-renorm", action="store_true", help=renorm_help)
 
 
 def _add_scenario_flags(sp) -> None:
     sp.add_argument("--preset", default=None, help=f"named scenario: {', '.join(PRESET_NAMES)}")
     sp.add_argument("--scenario", default=None, help="path to a scenario JSON file")
-    _add_fusion_flags(sp, "recorded in simulate's trace.json; cannot change a sampled run")
+    _add_delta_flag(sp)
     sp.add_argument("--seed", type=int, default=None, help=f"override the run seed (default {Scenario.seed})")
     sp.add_argument("--out", default="./out", help="output directory (default ./out)")
 
@@ -309,7 +310,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     fu = sub.add_parser("fuse", help="merge 2+ tensors, writing fused and unmerged outputs")
     fu.add_argument("inputs", nargs="+", metavar="TENSOR", help="2 or more MXFT tensor files")
-    _add_fusion_flags(fu, "disable loser std renormalization in unmerge")
+    _add_delta_flag(fu)
+    fu.add_argument("--no-renorm", action="store_true", help="disable loser std renormalization in unmerge")
     fu.add_argument("--out", default="./out")
     fu.set_defaults(func=cmd_fuse)
 

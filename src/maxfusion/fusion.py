@@ -17,8 +17,9 @@ averaged locations both branches adopt the fused vector.  At won
 locations the winner keeps its original vector; the loser is replaced
 by the winner's vector rescaled to the loser's own raw channel std
 (sigma_loser / sigma_winner), which preserves the loser's local signal
-strength instead of letting it vanish.  The no-renormalization variant
-skips the rescale and leaves losers untouched.
+strength instead of letting it vanish.  Unmerging with
+renormalize=False skips the rescale and leaves losers untouched.  Every
+zero-signal test, in merge and unmerge alike, reads stats.EPSILON_NORM.
 
 Winner selection uses normalized sigma_hat while loser rescaling uses
 raw sigma ratios; both read the winner from the sigma_hat argmax so
@@ -34,7 +35,7 @@ running chain, whose earlier updates the next step would overwrite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,25 +48,17 @@ MAX_SELECT_DELTA = 2.0
 
 @dataclass(frozen=True)
 class FusionConfig:
-    """Knobs of the pairwise merge.
+    """The pairwise merge's one setting: the correlation gate threshold.
 
-    delta: correlation gate threshold.  Values in [-1, 1] are meaningful;
-    sentinels outside that range force one path (-1 always averages,
-    MAX_SELECT_DELTA never does).
-    renormalize: apply the loser std-rescale during unmerge.
-    epsilon_norm: channel-vector norms and sigma spatial sums below this
-    threshold are treated as zero signal.
+    delta: values in [-1, 1] are meaningful; sentinels outside that range
+    force one path (-1 always averages, MAX_SELECT_DELTA never does).
     """
 
     delta: float = 0.7
-    renormalize: bool = True
-    epsilon_norm: float = EPSILON_NORM
 
     def __post_init__(self):
         if not np.isfinite(self.delta):
             raise ValueError(f"delta must be finite, got {self.delta}")
-        if not (np.isfinite(self.epsilon_norm) and self.epsilon_norm > 0):
-            raise ValueError(f"epsilon_norm must be a finite number > 0, got {self.epsilon_norm}")
 
 
 @dataclass(frozen=True)
@@ -129,9 +122,8 @@ def merge_pair(f1: FeatureMap, f2: FeatureMap, cfg: FusionConfig | None = None) 
     """
     cfg = cfg or FusionConfig()
     _require_same_shape((f1, f2))
-    eps = cfg.epsilon_norm
-    rho, sigma1, sigma2, avg = _pair_pass(f1.data, f2.data, eps)
-    s1_hat, s2_hat = _normalize(sigma1, eps), _normalize(sigma2, eps)
+    rho, sigma1, sigma2, avg = _pair_pass(f1.data, f2.data)
+    s1_hat, s2_hat = _normalize(sigma1), _normalize(sigma2)
 
     winner = (s2_hat > s1_hat).astype(np.int32)  # exact ties go to branch 0
     codes = np.where(rho >= cfg.delta, AVERAGED, winner)
@@ -148,16 +140,14 @@ def merge_pair(f1: FeatureMap, f2: FeatureMap, cfg: FusionConfig | None = None) 
     )
 
 
-def pure_max_select(
-    f1: FeatureMap, f2: FeatureMap, cfg: FusionConfig | None = None
-) -> PairFusionResult:
+def pure_max_select(f1: FeatureMap, f2: FeatureMap) -> PairFusionResult:
     """Variance selection applied everywhere: the gate never averages.
 
     This is merge_pair with delta = MAX_SELECT_DELTA; the
     scalar-loop oracles, not a second assembly, check that selection
     independently.
     """
-    return merge_pair(f1, f2, replace(cfg or FusionConfig(), delta=MAX_SELECT_DELTA))
+    return merge_pair(f1, f2, FusionConfig(delta=MAX_SELECT_DELTA))
 
 
 class _RescaleOverflow(ValueError):
@@ -175,13 +165,13 @@ class _RescaleOverflow(ValueError):
 
 
 def _unmerge_slot(
-    x: np.ndarray, result: PairFusionResult, slot: int, cfg: FusionConfig
+    x: np.ndarray, result: PairFusionResult, slot: int, renormalize: bool
 ) -> FeatureMap:
     """One side of unmerge_pair: the update of pair slot ``slot``, whose input data is x."""
     codes = result.selection.codes
     own_sigma, win_sigma = result.sigma[slot].data, result.sigma[1 - slot].data
     lost = codes == (1 - slot)
-    rescalable = lost & (win_sigma >= cfg.epsilon_norm) & cfg.renormalize
+    rescalable = lost & (win_sigma >= EPSILON_NORM) & renormalize
     # scale 1 keeps f_eff: the fused vector, or this branch's own where it won
     scale = np.ones(codes.shape)
     np.divide(own_sigma, win_sigma, out=scale, where=rescalable)
@@ -201,7 +191,8 @@ def unmerge_pair(
     f1: FeatureMap,
     f2: FeatureMap,
     result: PairFusionResult,
-    cfg: FusionConfig | None = None,
+    *,
+    renormalize: bool = True,
 ) -> tuple[FeatureMap, FeatureMap]:
     """Propagate a merge decision back onto both branches' features.
 
@@ -211,21 +202,20 @@ def unmerge_pair(
 
     Averaged locations: both branches adopt the fused vector.  Won
     locations: the winner keeps its original vector; the loser becomes
-    (sigma_loser / sigma_winner) * winner_vector when cfg.renormalize,
-    so its post-unmerge channel std equals its pre-merge sigma.  A zero
-    sigma_loser yields the zero vector; a winner sigma below
-    epsilon_norm leaves the loser untouched (rescaling toward a
-    zero-signal winner would only erase information).  Without
-    renormalization losers always keep their original vectors.  A
-    rescale that overflows float32 raises ValueError naming the branch.
+    (sigma_loser / sigma_winner) * winner_vector, so its post-unmerge
+    channel std equals its pre-merge sigma.  A zero sigma_loser yields
+    the zero vector; a winner sigma below EPSILON_NORM leaves the loser
+    untouched (rescaling toward a zero-signal winner would only erase
+    information).  With renormalize=False losers always keep their
+    original vectors.  A rescale that overflows float32 raises
+    ValueError naming the branch.
     """
-    cfg = cfg or FusionConfig()
     _require_same_shape((f1, f2, result.f_eff))
     spatial = f1.shape[1:]
     for name, m in [("selection", result.selection), *(("sigma", s) for s in result.sigma)]:
         if m.shape != spatial:
             raise ValueError(f"{name} shape mismatch: {m.shape} vs {spatial}")
-    return _unmerge_slot(f1.data, result, 0, cfg), _unmerge_slot(f2.data, result, 1, cfg)
+    return tuple(_unmerge_slot(f.data, result, i, renormalize) for i, f in enumerate((f1, f2)))
 
 
 def _merge_chain(branches, cfg: FusionConfig) -> tuple[PairFusionResult, ...]:
@@ -236,7 +226,9 @@ def _merge_chain(branches, cfg: FusionConfig) -> tuple[PairFusionResult, ...]:
     return tuple(results)
 
 
-def maxfusion_fold(branches: list[FeatureMap], cfg: FusionConfig | None = None) -> FoldResult:
+def maxfusion_fold(
+    branches: list[FeatureMap], cfg: FusionConfig | None = None, *, renormalize: bool = True
+) -> FoldResult:
     """Incrementally fold N branches through pairwise merge + unmerge.
 
     The running feature starts as branch 0; each remaining branch i is
@@ -244,8 +236,9 @@ def maxfusion_fold(branches: list[FeatureMap], cfg: FusionConfig | None = None) 
     into slot i, and the fused f_eff carries forward.  Only the last pair
     also unmerges the running chain into slot 0, since each later step
     would overwrite that update.  With exactly two branches this is
-    merge_pair followed by unmerge_pair, verbatim.  A rescale that
-    overflows float32 raises ValueError naming the pair and the branch.
+    merge_pair followed by unmerge_pair, verbatim; renormalize is passed
+    to every unmerge.  A rescale that overflows float32 raises ValueError
+    naming the pair and the branch.
     """
     cfg = cfg or FusionConfig()
     if len(branches) < 2:
@@ -257,9 +250,11 @@ def maxfusion_fold(branches: list[FeatureMap], cfg: FusionConfig | None = None) 
     for i, res in enumerate(pair_results, start=1):
         try:
             if i < len(pair_results):
-                updated[i] = _unmerge_slot(branches[i].data, res, 1, cfg)
+                updated[i] = _unmerge_slot(branches[i].data, res, 1, renormalize)
             else:
-                updated[0], updated[i] = unmerge_pair(running, branches[i], res, cfg)
+                updated[0], updated[i] = unmerge_pair(
+                    running, branches[i], res, renormalize=renormalize
+                )
         except _RescaleOverflow as exc:
             raise _RescaleOverflow(exc.slot, exc.detail, pair=i) from None
         running = res.f_eff

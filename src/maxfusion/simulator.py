@@ -404,8 +404,7 @@ def sample(scenario: Scenario, record_trace: bool = False) -> RunReport:
     with effective score (analytic score + guidance_weight * g), adding
     sqrt(beta_t) noise for every step but the last.  The maxfusion and
     max_select strategies run only the fold's merges: the encoders are
-    stateless, so no unmerged feature is fed back, and
-    fusion.renormalize, which acts only in unmerge, cannot change a run.
+    stateless, so no unmerged feature is fed back.
 
     A run whose state grows past float32 range (a guidance weight far
     too large, say) raises ValueError naming the step t, and the branch
@@ -560,7 +559,6 @@ def _typed(value, path: str, kind: type, want: str):
     return value
 
 
-_boolean = partial(_typed, kind=bool, want="true or false")
 _string = partial(_typed, kind=str, want="a string")
 _object = partial(_typed, kind=dict, want="an object")
 _array = partial(_typed, kind=list, want="an array")
@@ -609,7 +607,7 @@ _SCENARIO_FIELDS = {
     "readout": _float_array,
 }
 _LINEAR_SCHEDULE_FIELDS = {"steps": _as_is, "beta_start": _number, "beta_end": _number}
-_FUSION_FIELDS = {"delta": _number, "renormalize": _boolean, "epsilon_norm": _number}
+_FUSION_FIELDS = {"delta": _number}
 _BRANCH_REQUIRED = ("mask", "target", "embedding")
 _BRANCH_FIELDS = {**dict.fromkeys(_BRANCH_REQUIRED, _float_array), "strength": _number}
 

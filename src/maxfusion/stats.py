@@ -71,22 +71,22 @@ def _std(a: np.ndarray) -> np.ndarray:
     return np.sqrt(_sumprod(dev, dev) / c)
 
 
-def _cosine(a: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
+def _cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Clamped cosine similarity over axis 0 of two float64 blocks."""
     dot = _sumprod(a, b)
     n1sq = _sumprod(a, a)
     n2sq = _sumprod(b, b)
-    ok = (np.sqrt(n1sq) >= eps) & (np.sqrt(n2sq) >= eps)
+    ok = (np.sqrt(n1sq) >= EPSILON_NORM) & (np.sqrt(n2sq) >= EPSILON_NORM)
     rho = np.zeros_like(dot)
     # single sqrt of the product keeps rho(f, f) at exactly 1.0
     np.divide(dot, np.sqrt(n1sq * n2sq), out=rho, where=ok)
     return np.clip(rho, -1.0, 1.0, out=rho)
 
 
-def _normalize(sigma: np.ndarray, eps: float) -> np.ndarray:
-    """sigma / its spatial sum, or the uniform map when that sum is below eps."""
+def _normalize(sigma: np.ndarray) -> np.ndarray:
+    """sigma / its spatial sum, or the uniform map when that sum is below EPSILON_NORM."""
     total = float(sigma.sum())
-    if total < eps:
+    if total < EPSILON_NORM:
         return np.full(sigma.shape, 1.0 / sigma.size)
     return sigma / total
 
@@ -98,7 +98,7 @@ def _std_map(x: np.ndarray) -> np.ndarray:
     return sigma
 
 
-def _pair_pass(x1: np.ndarray, x2: np.ndarray, eps: float):
+def _pair_pass(x1: np.ndarray, x2: np.ndarray):
     """One blocked pass over two (C, H, W) float32 arrays of equal shape.
 
     Returns (rho, sigma1, sigma2, mean): three (H, W) float64 maps and
@@ -109,7 +109,7 @@ def _pair_pass(x1: np.ndarray, x2: np.ndarray, eps: float):
     for rows in _row_blocks(*x1.shape):
         a = x1[:, rows].astype(np.float64)
         b = x2[:, rows].astype(np.float64)
-        rho[rows] = _cosine(a, b, eps)
+        rho[rows] = _cosine(a, b)
         sigma1[rows] = _std(a)
         sigma2[rows] = _std(b)
         # a * 0.5 and a / 2 are the same real number, so they round alike; cast last
@@ -134,7 +134,7 @@ def normalized_std_map(f: FeatureMap) -> SpatialMap:
     map), returns the exactly uniform map 1/(H*W) instead of dividing
     by zero.
     """
-    return SpatialMap._adopt(_normalize(_std_map(f.data), EPSILON_NORM))
+    return SpatialMap._adopt(_normalize(_std_map(f.data)))
 
 
 def correlation_map(f1: FeatureMap, f2: FeatureMap) -> SpatialMap:
@@ -151,5 +151,5 @@ def correlation_map(f1: FeatureMap, f2: FeatureMap) -> SpatialMap:
     for rows in _row_blocks(*f1.shape):
         a = f1.data[:, rows].astype(np.float64)
         b = f2.data[:, rows].astype(np.float64)
-        rho[rows] = _cosine(a, b, EPSILON_NORM)
+        rho[rows] = _cosine(a, b)
     return SpatialMap._adopt(rho)

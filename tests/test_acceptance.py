@@ -60,7 +60,7 @@ def test_criterion_01_oracle_equivalence():
     for trial in range(1000):
         delta = DELTAS[trial % len(DELTAS)]
         renorm = bool(trial % 2)
-        cfg = FusionConfig(delta=delta, renormalize=renorm)
+        cfg = FusionConfig(delta=delta)
         f1, f2, shape = _random_pair(rng)
 
         res = merge_pair(f1, f2, cfg)
@@ -71,7 +71,7 @@ def test_criterion_01_oracle_equivalence():
         np.testing.assert_allclose(res.sigma_hat[0].data, s1, atol=ATOL)
         np.testing.assert_allclose(res.sigma_hat[1].data, s2, atol=ATOL)
 
-        u1, u2 = unmerge_pair(f1, f2, res, cfg)
+        u1, u2 = unmerge_pair(f1, f2, res, renormalize=renorm)
         e1, e2 = oracles.unmerge(f1.data, f2.data, eff, codes, renorm)
         np.testing.assert_allclose(u1.data, e1, atol=ATOL)
         np.testing.assert_allclose(u2.data, e2, atol=ATOL)
@@ -80,7 +80,7 @@ def test_criterion_01_oracle_equivalence():
             f3 = FeatureMap(
                 np.clip(rng.normal(size=shape), -6.0, 6.0).astype(np.float32)
             )
-            fold = maxfusion_fold([f1, f2, f3], cfg)
+            fold = maxfusion_fold([f1, f2, f3], cfg, renormalize=renorm)
             oeff, oupd, ocodes = oracles.fold(
                 [f1.data, f2.data, f3.data], delta, renorm
             )
@@ -120,10 +120,9 @@ def test_criterion_03_idempotence():
         f, _, _ = _random_pair(rng)
         for delta in DELTAS:
             for renorm in (True, False):
-                cfg = FusionConfig(delta=delta, renormalize=renorm)
-                res = merge_pair(f, f, cfg)
+                res = merge_pair(f, f, FusionConfig(delta=delta))
                 assert res.f_eff == f
-                u1, u2 = unmerge_pair(f, f, res, cfg)
+                u1, u2 = unmerge_pair(f, f, res, renormalize=renorm)
                 assert u1 == f and u2 == f
                 checked += 1
     _pass(3, f"{checked} merge+unmerge self-fusions element-exact")
@@ -157,10 +156,9 @@ def test_criterion_05_renormalization_contract():
     for trial in range(1000):
         delta = DELTAS[trial % len(DELTAS)]
         renorm = bool(trial % 2)
-        cfg = FusionConfig(delta=delta, renormalize=renorm)
         f1, f2, _ = _random_pair(rng)
-        res = merge_pair(f1, f2, cfg)
-        outs = unmerge_pair(f1, f2, res, cfg)
+        res = merge_pair(f1, f2, FusionConfig(delta=delta))
+        outs = unmerge_pair(f1, f2, res, renormalize=renorm)
         codes = res.selection.codes
         for i, (orig, post) in enumerate(zip((f1, f2), outs)):
             won = codes == i
@@ -264,7 +262,7 @@ def test_criterion_10_three_modality_fold():
         cfg = FusionConfig()
         fold = maxfusion_fold([f1, f2], cfg)
         res = merge_pair(f1, f2, cfg)
-        u1, u2 = unmerge_pair(f1, f2, res, cfg)
+        u1, u2 = unmerge_pair(f1, f2, res)
         assert fold.f_eff == res.f_eff
         assert fold.updated == (u1, u2)
     _pass(10, f"3-branch MSEs {tuple(round(m, 3) for m in rep.branch_mse)}; "

@@ -226,11 +226,10 @@ class TestFusionBitIdentical:
         self, seed, shape, rows, offset, delta, renormalize
     ):
         x1, x2 = branch_pair(seed, shape, offset)
-        cfg = FusionConfig(delta=delta, renormalize=renormalize)
         f1, f2 = FeatureMap(x1), FeatureMap(x2)
         with small_blocks(shape, rows):
-            res = merge_pair(f1, f2, cfg)
-            u1, u2 = unmerge_pair(f1, f2, res, cfg)
+            res = merge_pair(f1, f2, FusionConfig(delta=delta))
+            u1, u2 = unmerge_pair(f1, f2, res, renormalize=renormalize)
         eff, codes = ref_merge(x1, x2, delta)
         assert same_bytes(res.f_eff.data, eff)
         assert np.array_equal(res.selection.codes, codes)
@@ -243,10 +242,9 @@ class TestFusionBitIdentical:
         # columns: constant winner (loser kept), constant loser (zero vector)
         x1 = np.array([[[3.0, 1.0]], [[3.0, -1.0]]], dtype=np.float32)
         x2 = np.array([[[2.0, 5.0]], [[2.0, 5.0]]], dtype=np.float32)
-        cfg = FusionConfig(delta=2.0, renormalize=renormalize)
         f1, f2 = FeatureMap(x1), FeatureMap(x2)
-        res = merge_pair(f1, f2, cfg)
-        u1, u2 = unmerge_pair(f1, f2, res, cfg)
+        res = merge_pair(f1, f2, FusionConfig(delta=2.0))
+        u1, u2 = unmerge_pair(f1, f2, res, renormalize=renormalize)
         e1, e2 = ref_unmerge(x1, x2, res.f_eff.data, res.selection.codes, renormalize)
         assert same_bytes(u1.data, e1)
         assert same_bytes(u2.data, e2)

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from maxfusion import (
     Branch,
     FeatureMap,
-    FusionConfig,
     NoiseSchedule,
     Scenario,
     branch_embedding,
@@ -169,7 +168,7 @@ class TestFuseCommand:
         out = tmp_path / "o"
         assert main(["fuse", *map(str, paths), "--no-renorm", "--out", str(out)]) == 0
         assert json.loads(capsys.readouterr().out)["renormalize"] is False
-        plain = maxfusion_fold(maps, FusionConfig(renormalize=False)).updated
+        plain = maxfusion_fold(maps, renormalize=False).updated
         renormed = maxfusion_fold(maps).updated
         for i in range(2):
             got = load_tensor_file(out / f"branch_{i}_unmerged.mxft")
@@ -193,6 +192,21 @@ class TestFuseCommand:
         bad.write_bytes(damage(good.read_bytes()))
         assert main([command, str(good), str(bad), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith(f"error: {bad}: {message}")
+
+    @pytest.mark.parametrize("command, n_inputs", [("stats", 2), ("fuse", 3)])
+    def test_shape_mismatch_names_the_file_and_writes_nothing(
+        self, command, n_inputs, tmp_path, capsys
+    ):
+        paths = [tmp_path / f"{name}.mxft" for name in "abc"[:n_inputs]]
+        for p in paths[:-1]:
+            write_tensor_file(p, random_tensor(0, (4, 3, 3)))
+        write_tensor_file(paths[-1], random_tensor(1, (4, 2, 3)))
+        out = tmp_path / "o"
+        assert main([command, *map(str, paths), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {paths[-1]}: shape mismatch: (4, 2, 3) vs {paths[0]}'s (4, 3, 3)\n"
+        )
+        assert not out.exists()
 
     def test_overflowing_unmerge_exits_2_naming_pair_and_branch(self, tmp_path, capsys):
         # branch 0 wins near 1e38 with a tiny spread; rescaling branch 1 (spread 1e35)
@@ -285,7 +299,7 @@ BAD_SCENARIO_FIELDS = [
     ("branches[0].mask", ("branches", 0, "mask"), {}, []),
     ("fusion.delta", ("fusion", "delta"), "abc", []),
     ("single_branch", ("single_branch",), "x", []),
-    ("fusion.renormalize", ("fusion", "renormalize"), "no", []),
+    ("fusion.delta", ("fusion", "delta"), True, []),
     ("seed", ("seed",), 1.5, []),
     ("height", ("height",), 16.5, []),
     ("channels", ("channels",), 8.9, []),
@@ -326,6 +340,10 @@ UNKNOWN_SCENARIO_KEYS = [
     ("fusion.detla", ("fusion", "detla"), 0.1),
     ("branches[0].strenght", ("branches", 0, "strenght"), 2.0),
     ("schedule.steps", ("schedule", "steps"), 7),  # the preset's schedule holds betas
+    # settings that left the scenario: the loser rescale is an unmerge keyword, and the
+    # zero-signal threshold is the constant stats.EPSILON_NORM
+    ("fusion.renormalize", ("fusion", "renormalize"), "no"),
+    ("fusion.epsilon_norm", ("fusion", "epsilon_norm"), 1e-12),
 ]
 
 
@@ -435,6 +453,27 @@ class TestScenarioSizeBounds:
 def test_dash_dash_option_value_exits_2_naming_the_option(argv, option, capsys):
     assert main([*argv, "--preset", "contradictory"]) == 2
     assert capsys.readouterr().err.startswith(f"error: option {option} ")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["simulate", "--preset", "contradictory"], 2),
+        (["ablate", "--preset", "contradictory", "--deltas", "0.7"], 2),
+        (["compare", "--preset", "contradictory"], 2),
+        (["fuse"], 0),
+    ],
+    ids=["simulate", "ablate", "compare", "fuse"],
+)
+def test_no_renorm_is_a_fuse_flag_only(argv, code, tmp_path, capsys):
+    # sample() never unmerges, so the loser rescale is an option of fuse alone
+    src = tmp_path / "t.mxft"
+    write_tensor_file(src, random_tensor(2))
+    if argv == ["fuse"]:
+        argv = ["fuse", str(src), str(src)]
+    assert main([*argv, "--no-renorm", "--out", str(tmp_path / "o")]) == code
+    if code == 2:
+        assert "unrecognized arguments: --no-renorm" in capsys.readouterr().err
 
 
 class TestAblateCommand:
@@ -549,6 +588,18 @@ class TestCompareCommand:
             ("single(2)", ""),
             ("unconditional", ""),
         }
+
+    @pytest.mark.parametrize("n_branches", [0, 1, 2])
+    def test_table_rows_have_the_header_cells(self, n_branches, tmp_path):
+        p = tmp_path / "scn.json"
+        p.write_text(json.dumps(_small_scenario(n_branches)))
+        out = tmp_path / "o"
+        assert main(["compare", "--scenario", str(p), "--out", str(out)]) == 0
+        lines = (out / "compare.md").read_text().splitlines()
+        mse = "".join(f" branch {b} MSE |" for b in range(n_branches))
+        assert lines[0] == f"| strategy |{mse} averaged fraction |"
+        assert lines[1] == "|" + "---|" * (n_branches + 2)
+        assert {line.count("|") for line in lines} == {n_branches + 3}
 
     def test_zero_guidance_collapses_all_strategies(self, tmp_path):
         cfg = scenario_to_dict(preset_scenario("contradictory"))

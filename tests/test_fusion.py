@@ -1,3 +1,6 @@
+import inspect
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,8 +28,8 @@ def random_map(seed, shape=(4, 4, 4)) -> FeatureMap:
     return FeatureMap(rng.normal(size=shape).astype(np.float32))
 
 
-def cfg(delta=0.7, renormalize=True) -> FusionConfig:
-    return FusionConfig(delta=delta, renormalize=renormalize)
+def cfg(delta=0.7) -> FusionConfig:
+    return FusionConfig(delta=delta)
 
 
 class TestNaiveAverage:
@@ -58,7 +61,9 @@ class TestMergePair:
     @pytest.mark.parametrize("renorm", [True, False])
     def test_idempotent_on_identical_inputs(self, delta, renorm):
         f = random_map(5)
-        assert merge_pair(f, f, cfg(delta, renorm)).f_eff == f
+        res = merge_pair(f, f, cfg(delta))
+        assert res.f_eff == f
+        assert unmerge_pair(f, f, res, renormalize=renorm) == (f, f)
 
     def test_delta_floor_reproduces_naive_average(self):
         f1, f2 = random_map(6), random_map(7)
@@ -124,7 +129,7 @@ class TestUnmergePair:
     def test_averaged_locations_take_f_eff_on_both_branches(self):
         f1, f2 = random_map(12), random_map(13)
         res = merge_pair(f1, f2, cfg(delta=-1.0))  # everything averaged
-        u1, u2 = unmerge_pair(f1, f2, res, cfg(delta=-1.0))
+        u1, u2 = unmerge_pair(f1, f2, res)
         assert u1 == res.f_eff
         assert u2 == res.f_eff
 
@@ -136,7 +141,7 @@ class TestUnmergePair:
         f2 = make_feature_map(2, 1, 1, [1.0, 0.0])
         res = merge_pair(f1, f2, cfg(delta=0.8))
         assert res.selection.codes[0, 0] == 0
-        u1, u2 = unmerge_pair(f1, f2, res, cfg(delta=0.8))
+        u1, u2 = unmerge_pair(f1, f2, res)
         assert u1 == f1  # winner element-exact
         np.testing.assert_array_equal(u2.data.ravel(), [0.5, -0.5])
         assert channel_std_map(u2).data[0, 0] == 0.5
@@ -144,17 +149,28 @@ class TestUnmergePair:
     def test_no_renorm_variant_keeps_loser_unchanged(self):
         f1 = make_feature_map(2, 1, 1, [2.0, -2.0])
         f2 = make_feature_map(2, 1, 1, [1.0, 0.0])
-        res = merge_pair(f1, f2, cfg(delta=0.8, renormalize=False))
-        u1, u2 = unmerge_pair(f1, f2, res, cfg(delta=0.8, renormalize=False))
+        res = merge_pair(f1, f2, cfg(delta=0.8))
+        u1, u2 = unmerge_pair(f1, f2, res, renormalize=False)
         assert u1 == f1
         assert u2 == f2
+
+    def test_positional_config_fails_loudly(self):
+        # renormalize is keyword-only, so an old trailing config cannot read as a truthy flag
+        f1, f2 = random_map(12), random_map(13)
+        res = merge_pair(f1, f2)
+        with pytest.raises(TypeError):
+            unmerge_pair(f1, f2, res, cfg())
+        with pytest.raises(TypeError):
+            maxfusion_fold([f1, f2], cfg(), False)
+        with pytest.raises(TypeError):
+            pure_max_select(f1, f2, cfg())
 
     def test_zero_sigma_loser_becomes_zero_vector(self):
         f1 = make_feature_map(2, 1, 1, [1.0, -1.0])
         f2 = make_feature_map(2, 1, 1, [3.0, 3.0])  # constant: sigma 0
         res = merge_pair(f1, f2, cfg(delta=2.0))
         assert res.selection.codes[0, 0] == 0
-        _, u2 = unmerge_pair(f1, f2, res, cfg(delta=2.0))
+        _, u2 = unmerge_pair(f1, f2, res)
         np.testing.assert_array_equal(u2.data.ravel(), [0.0, 0.0])
 
     def test_zero_sigma_winner_leaves_loser_alone(self):
@@ -163,15 +179,15 @@ class TestUnmergePair:
         f2 = make_feature_map(2, 1, 1, [1.0, 1.0])
         res = pure_max_select(f1, f2)
         assert res.selection.codes[0, 0] == 0
-        _, u2 = unmerge_pair(f1, f2, res, cfg())
+        _, u2 = unmerge_pair(f1, f2, res)
         assert u2 == f2
 
     @pytest.mark.parametrize("renorm", [True, False])
     @pytest.mark.parametrize("delta", DELTAS)
     def test_matches_scalar_loop_oracle(self, delta, renorm):
         f1, f2 = random_map(14), random_map(15)
-        res = merge_pair(f1, f2, cfg(delta, renorm))
-        u1, u2 = unmerge_pair(f1, f2, res, cfg(delta, renorm))
+        res = merge_pair(f1, f2, cfg(delta))
+        u1, u2 = unmerge_pair(f1, f2, res, renormalize=renorm)
         eff, codes, _, _, _ = oracles.merge(f1.data, f2.data, delta)
         e1, e2 = oracles.unmerge(f1.data, f2.data, eff, codes, renorm)
         np.testing.assert_allclose(u1.data, e1, atol=1e-6)
@@ -184,7 +200,7 @@ class TestUnmergePair:
         f1 = FeatureMap(rng.normal(size=(5, 4, 4)).astype(np.float32))
         f2 = FeatureMap(rng.normal(size=(5, 4, 4)).astype(np.float32))
         res = merge_pair(f1, f2, cfg(delta))
-        u1, u2 = unmerge_pair(f1, f2, res, cfg(delta))
+        u1, u2 = unmerge_pair(f1, f2, res)
         codes = res.selection.codes
         for i, (orig, post) in enumerate(((f1, u1), (f2, u2))):
             won = codes == i
@@ -227,7 +243,7 @@ class TestFold:
         f1, f2 = random_map(22), random_map(23)
         fold = maxfusion_fold([f1, f2], cfg())
         res = merge_pair(f1, f2, cfg())
-        u1, u2 = unmerge_pair(f1, f2, res, cfg())
+        u1, u2 = unmerge_pair(f1, f2, res)
         assert fold.f_eff == res.f_eff
         assert fold.updated == (u1, u2)
         assert fold.pair_results[0].selection == res.selection
@@ -236,7 +252,7 @@ class TestFold:
     @pytest.mark.parametrize("delta", DELTAS)
     def test_three_branches_match_fold_oracle(self, delta, renorm):
         branches = [random_map(s, shape=(8, 4, 4)) for s in (24, 25, 26)]
-        fold = maxfusion_fold(branches, cfg(delta, renorm))
+        fold = maxfusion_fold(branches, cfg(delta), renormalize=renorm)
         eff, updated, codes = oracles.fold(
             [b.data for b in branches], delta, renorm
         )
@@ -309,6 +325,7 @@ class TestFusionConfig:
             FusionConfig(delta=float("nan"))
 
     def test_defaults(self):
-        c = FusionConfig()
-        assert c.delta == 0.7
-        assert c.renormalize is True
+        assert [f.name for f in fields(FusionConfig)] == ["delta"]
+        assert FusionConfig().delta == 0.7
+        for unmerging in (unmerge_pair, maxfusion_fold):  # the loser rescale is on by default
+            assert inspect.signature(unmerging).parameters["renormalize"].default is True

@@ -12,7 +12,6 @@ import oracles
 from scenario_json import SUBSTITUTES, blamed_key, key_paths, small_scenario_dicts, substituted
 from maxfusion import (
     AVERAGED,
-    PRESET_NAMES,
     Branch,
     FusionConfig,
     NoiseSchedule,
@@ -323,13 +322,6 @@ class TestSampling:
         rep = sample(tiny_scenario(strategy=strategy, fusion=FusionConfig(delta=0.3)))
         assert rep.delta == delta
         assert not rep.same_outputs(replace(rep, delta=0.5))
-
-    @pytest.mark.parametrize("strategy", ["maxfusion", "max_select"])
-    @pytest.mark.parametrize("preset", PRESET_NAMES)
-    def test_renormalize_cannot_change_a_run(self, preset, strategy):
-        scn = replace(preset_scenario(preset), strategy=strategy)
-        plain = replace(scn, fusion=replace(scn.fusion, renormalize=not scn.fusion.renormalize))
-        assert sample(scn).same_outputs(sample(plain))
 
     def test_single_branch_guidance_beats_unconditional(self):
         diffs = []

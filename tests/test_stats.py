@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 import oracles
 from maxfusion import (
     FeatureMap,
-    FusionConfig,
     channel_std_map,
     correlation_map,
     make_feature_map,
@@ -125,22 +124,10 @@ class TestCorrelation:
 
 
 class TestStatsConfig:
-    """The zero-signal guard: stats.EPSILON_NORM and FusionConfig.epsilon_norm."""
-
-    def test_epsilon_must_be_positive(self):
-        with pytest.raises(ValueError, match="epsilon_norm"):
-            FusionConfig(epsilon_norm=0.0)
-
-    @pytest.mark.parametrize("eps", [np.inf, np.nan])
-    def test_epsilon_must_be_finite(self, eps):
-        # an infinite guard would count every location as zero signal
-        with pytest.raises(ValueError, match="epsilon_norm"):
-            FusionConfig(epsilon_norm=eps)
+    """The zero-signal guard: stats.EPSILON_NORM, the one threshold stats and fusion read."""
 
     def test_epsilon_routes_small_norms_to_zero(self):
         tiny = single_location(1e-20, 0.0)
         other = single_location(1.0, 1.0)
         assert correlation_map(tiny, other).data[0, 0] == 0.0
         assert merge_pair(tiny, other).rho.data[0, 0] == 0.0
-        loose = FusionConfig(epsilon_norm=1e-30)
-        assert merge_pair(tiny, other, loose).rho.data[0, 0] != 0.0

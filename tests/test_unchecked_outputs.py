@@ -28,6 +28,7 @@ from maxfusion import (
     unmerge_pair,
     write_tensor,
 )
+from maxfusion.stats import EPSILON_NORM
 
 F32_MAX = float(np.finfo(np.float32).max)
 F32_TINY = float(np.finfo(np.float32).smallest_subnormal)
@@ -64,8 +65,8 @@ PAIRS = {
     "max_vs_subnormal": (_map(F32_MAX * _signs(6)), _map(F32_TINY * _signs(7))),
     "mixed": (_mixed(8), _mixed(9)),
 }
-#: the default threshold, and the smallest one FusionConfig admits
-EPSILONS = (FusionConfig.epsilon_norm, float(np.nextafter(0.0, 1.0)))
+#: the zero-signal threshold that the merge reads
+EPSILONS = (EPSILON_NORM,)
 
 
 def _finite(sm: SpatialMap) -> np.ndarray:
@@ -78,7 +79,7 @@ def _finite(sm: SpatialMap) -> np.ndarray:
 @pytest.mark.parametrize("eps", EPSILONS)
 def test_merge_outputs_finite_and_in_range(pair, delta, eps):
     f1, f2 = PAIRS[pair]
-    res = merge_pair(f1, f2, FusionConfig(delta=delta, epsilon_norm=eps))
+    res = merge_pair(f1, f2, FusionConfig(delta=delta))
     # f_eff holds an input vector, or the float64 mean of two, rounded to float32
     mean = ((f1.data.astype(np.float64) + f2.data) / 2.0).astype(np.float32)
     codes = res.selection.codes[np.newaxis]
@@ -87,6 +88,9 @@ def test_merge_outputs_finite_and_in_range(pair, delta, eps):
     assert np.isfinite(res.f_eff.data).all()
     rho = _finite(res.rho)
     assert ((rho >= -1.0) & (rho <= 1.0)).all()
+    # where either channel vector's norm is below the threshold there is no signal to compare
+    n1, n2 = (np.sqrt(np.square(f.data, dtype=np.float64).sum(axis=0)) for f in (f1, f2))
+    assert (rho[(n1 < eps) | (n2 < eps)] == 0.0).all()
     for sigma, sigma_hat in zip(res.sigma, res.sigma_hat):
         assert (_finite(sigma) >= 0.0).all()
         assert (_finite(sigma_hat) >= 0.0).all()
