@@ -16,7 +16,6 @@ import numpy as np
 
 from maxfusion import (
     FeatureMap,
-    FusionConfig,
     channel_std_map,
     merge_pair,
     unmerge_pair,
@@ -46,7 +45,7 @@ f_b = grid({
     (1, 1): [0.0, 0.0, 0.0, 0.0],      # silent
 })
 
-res = merge_pair(f_a, f_b, FusionConfig(delta=0.7))
+res = merge_pair(f_a, f_b, 0.7)
 
 print("rho per location:")
 print(np.array2string(res.rho.data, precision=3))

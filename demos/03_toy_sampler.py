@@ -17,7 +17,7 @@ from maxfusion import condition_error, preset_scenario, sample
 scn = replace(preset_scenario("contradictory"), seed=3)
 
 print(f"grid {scn.height}x{scn.width}, {scn.schedule.steps} steps, "
-      f"guidance weight {scn.guidance_weight}, delta {scn.fusion.delta}")
+      f"guidance weight {scn.guidance_weight}, delta {scn.delta}")
 print()
 print(f"{'strategy':16s} {'branch 0 MSE':>12s} {'branch 1 MSE':>12s} {'averaged':>9s}")
 for strategy in ("unconditional", "single", "naive", "max_select", "maxfusion"):

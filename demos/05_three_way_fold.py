@@ -20,7 +20,7 @@ print()
 
 # refold the branch features recorded at one mid-run step
 step = rep.trace[25]
-fold = maxfusion_fold(list(step), scn.fusion)
+fold = maxfusion_fold(list(step), scn.delta)
 print(f"fold at step 25 ran {len(fold.pair_results)} pair merges")
 for i, pair in enumerate(fold.pair_results):
     wins = pair.selection.win_fractions()
@@ -35,8 +35,8 @@ for b, (before, after) in enumerate(zip(step, fold.updated)):
     print(f"branch {b}: mean sigma inside its mask {s_before:.4f} -> {s_after:.4f}")
 
 # the merges alone, chained by hand, give the identical fused map
-first = merge_pair(step[0], step[1], scn.fusion)
-assert merge_pair(first.f_eff, step[2], scn.fusion).f_eff == fold.f_eff
+first = merge_pair(step[0], step[1], scn.delta)
+assert merge_pair(first.f_eff, step[2], scn.delta).f_eff == fold.f_eff
 
 print()
 print("region means of the final sample (targets +2 / -2 / +1):")

@@ -25,7 +25,6 @@ from .tensor_core import (
 from .stats import channel_std_map, correlation_map, normalized_std_map
 from .fusion import (
     FoldResult,
-    FusionConfig,
     PairFusionResult,
     maxfusion_fold,
     merge_pair,
@@ -61,7 +60,6 @@ __all__ = [
     "Branch",
     "FeatureMap",
     "FoldResult",
-    "FusionConfig",
     "NoiseSchedule",
     "PRESET_NAMES",
     "PairFusionResult",

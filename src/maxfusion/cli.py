@@ -19,7 +19,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .fusion import FusionConfig, maxfusion_fold
+from .fusion import DEFAULT_DELTA, maxfusion_fold
 from .simulator import (
     PRESET_NAMES,
     RunReport,
@@ -110,16 +110,12 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _fusion_from_args(cfg: FusionConfig, args) -> FusionConfig:
-    return cfg if args.delta is None else FusionConfig(delta=args.delta)
-
-
 def cmd_fuse(args) -> int:
     if len(args.inputs) < 2:
         raise ValueError(f"fuse needs at least 2 tensor files, got {len(args.inputs)}")
     maps = _load_features(args.inputs)
-    cfg = _fusion_from_args(FusionConfig(), args)
-    fold = maxfusion_fold(maps, cfg, renormalize=not args.no_renorm)
+    delta = DEFAULT_DELTA if args.delta is None else args.delta
+    fold = maxfusion_fold(maps, delta, renormalize=not args.no_renorm)
     out = _out_dir(args)
     _write(out, "f_eff.mxft", write_tensor, fold.f_eff)
     final_mask = fold.pair_results[-1].selection
@@ -139,7 +135,7 @@ def cmd_fuse(args) -> int:
     _print_summary(
         {
             "inputs": len(maps),
-            "delta": _jfloat(cfg.delta),
+            "delta": _jfloat(delta),
             "renormalize": not args.no_renorm,
             "averaged_fraction": _jfloat(averaged),
             "win_fractions": [_jfloat(w) for w in pair_wins],
@@ -157,8 +153,9 @@ def _scenario_from_args(args) -> Scenario:
         scn = preset_scenario(args.preset)
     else:
         raise ValueError("one of --preset or --scenario is required")
+    delta = scn.delta if args.delta is None else args.delta
     seed = scn.seed if args.seed is None else args.seed
-    return replace(scn, fusion=_fusion_from_args(scn.fusion, args), seed=seed)
+    return replace(scn, delta=delta, seed=seed)
 
 
 def _csv_rows(label: str, rep: RunReport) -> list[str]:
@@ -284,7 +281,7 @@ def cmd_compare(args) -> int:
 
 
 def _add_delta_flag(sp) -> None:
-    sp.add_argument("--delta", type=float, default=None, help=f"correlation gate threshold (default {FusionConfig.delta})")
+    sp.add_argument("--delta", type=float, default=None, help=f"correlation gate threshold (default {DEFAULT_DELTA})")
 
 
 def _add_scenario_flags(sp) -> None:

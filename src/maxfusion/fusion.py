@@ -42,23 +42,17 @@ import numpy as np
 from .stats import EPSILON_NORM, _normalize, _pair_pass
 from .tensor_core import AVERAGED, FeatureMap, SelectionMask, SpatialMap, _check_finite
 
+#: The default correlation gate.  Any finite delta is legal: values in [-1, 1]
+#: are meaningful, sentinels outside force one path (-1 always averages,
+#: MAX_SELECT_DELTA never does).
+DEFAULT_DELTA = 0.7
 #: A gate threshold above rho's ceiling of 1, so the merge never averages.
 MAX_SELECT_DELTA = 2.0
 
 
-@dataclass(frozen=True)
-class FusionConfig:
-    """The pairwise merge's one setting: the correlation gate threshold.
-
-    delta: values in [-1, 1] are meaningful; sentinels outside that range
-    force one path (-1 always averages, MAX_SELECT_DELTA never does).
-    """
-
-    delta: float = 0.7
-
-    def __post_init__(self):
-        if not np.isfinite(self.delta):
-            raise ValueError(f"delta must be finite, got {self.delta}")
+def _check_delta(delta: float) -> None:
+    if not np.isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta}")
 
 
 @dataclass(frozen=True)
@@ -111,22 +105,23 @@ def naive_average(branches: list[FeatureMap]) -> FeatureMap:
     return FeatureMap._adopt((stack.sum(axis=0) / len(branches)).astype(np.float32))
 
 
-def merge_pair(f1: FeatureMap, f2: FeatureMap, cfg: FusionConfig | None = None) -> PairFusionResult:
+def merge_pair(f1: FeatureMap, f2: FeatureMap, delta: float = DEFAULT_DELTA) -> PairFusionResult:
     """Fuse two branches: rho-gated averaging vs. sigma_hat winner selection.
 
-    Per location: if rho >= cfg.delta the fused vector is (f1 + f2) / 2
+    Per location: if rho >= delta the fused vector is (f1 + f2) / 2
     and the location is marked averaged; otherwise the branch with the
     larger sigma_hat contributes its entire channel vector and the
     location is marked with the winner's index (exact ties go to 0).
-    rho, both sigma maps and the average come from one blocked pass.
+    rho, both sigma maps and the average come from one blocked pass.  A
+    non-finite delta raises ValueError.
     """
-    cfg = cfg or FusionConfig()
+    _check_delta(delta)
     _require_same_shape((f1, f2))
     rho, sigma1, sigma2, avg = _pair_pass(f1.data, f2.data)
     s1_hat, s2_hat = _normalize(sigma1), _normalize(sigma2)
 
     winner = (s2_hat > s1_hat).astype(np.int32)  # exact ties go to branch 0
-    codes = np.where(rho >= cfg.delta, AVERAGED, winner)
+    codes = np.where(rho >= delta, AVERAGED, winner)
     # the average buffer becomes f_eff: won locations take the winner's vector
     for b, x in enumerate((f1.data, f2.data)):
         if (won := codes == b).any():
@@ -147,27 +142,17 @@ def pure_max_select(f1: FeatureMap, f2: FeatureMap) -> PairFusionResult:
     scalar-loop oracles, not a second assembly, check that selection
     independently.
     """
-    return merge_pair(f1, f2, FusionConfig(delta=MAX_SELECT_DELTA))
-
-
-class _RescaleOverflow(ValueError):
-    """A loser rescale left the float32 range while unmerging pair slot ``slot`` (0 or 1).
-
-    Inside a fold, ``pair`` numbers the step from 1 and the message names
-    the fold's branch (0 for the running chain, else the incoming one).
-    """
-
-    def __init__(self, slot: int, detail: str, pair: int | None = None):
-        self.slot, self.detail = slot, detail
-        where = "unmerge" if pair is None else f"unmerge of pair {pair}"
-        branch = slot if pair is None else (0, pair)[slot]
-        super().__init__(f"{where} overflowed float32 rescaling branch {branch} ({detail})")
+    return merge_pair(f1, f2, MAX_SELECT_DELTA)
 
 
 def _unmerge_slot(
-    x: np.ndarray, result: PairFusionResult, slot: int, renormalize: bool
+    x: np.ndarray, result: PairFusionResult, slot: int, renormalize: bool, where: str, branch: int
 ) -> FeatureMap:
-    """One side of unmerge_pair: the update of pair slot ``slot``, whose input data is x."""
+    """The unmerge update of pair slot ``slot`` (0 or 1), whose input data is x.
+
+    A rescale that overflows float32 raises ValueError, its message
+    starting with ``where`` and naming this input as branch ``branch``.
+    """
     codes = result.selection.codes
     own_sigma, win_sigma = result.sigma[slot].data, result.sigma[1 - slot].data
     lost = codes == (1 - slot)
@@ -184,7 +169,7 @@ def _unmerge_slot(
     try:
         return FeatureMap._adopt(_check_finite(merged))
     except ValueError as exc:
-        raise _RescaleOverflow(slot, str(exc)) from None
+        raise ValueError(f"{where} overflowed float32 rescaling branch {branch} ({exc})") from None
 
 
 def unmerge_pair(
@@ -215,19 +200,21 @@ def unmerge_pair(
     for name, m in [("selection", result.selection), *(("sigma", s) for s in result.sigma)]:
         if m.shape != spatial:
             raise ValueError(f"{name} shape mismatch: {m.shape} vs {spatial}")
-    return tuple(_unmerge_slot(f.data, result, i, renormalize) for i, f in enumerate((f1, f2)))
+    return tuple(
+        _unmerge_slot(f.data, result, i, renormalize, "unmerge", i) for i, f in enumerate((f1, f2))
+    )
 
 
-def _merge_chain(branches, cfg: FusionConfig) -> tuple[PairFusionResult, ...]:
+def _merge_chain(branches, delta: float) -> tuple[PairFusionResult, ...]:
     """Each merge_pair result, in order, of folding branches 1.. into the running f_eff."""
-    results = [merge_pair(branches[0], branches[1], cfg)]
+    results = [merge_pair(branches[0], branches[1], delta)]
     for branch in branches[2:]:
-        results.append(merge_pair(results[-1].f_eff, branch, cfg))
+        results.append(merge_pair(results[-1].f_eff, branch, delta))
     return tuple(results)
 
 
 def maxfusion_fold(
-    branches: list[FeatureMap], cfg: FusionConfig | None = None, *, renormalize: bool = True
+    branches: list[FeatureMap], delta: float = DEFAULT_DELTA, *, renormalize: bool = True
 ) -> FoldResult:
     """Incrementally fold N branches through pairwise merge + unmerge.
 
@@ -240,22 +227,16 @@ def maxfusion_fold(
     to every unmerge.  A rescale that overflows float32 raises ValueError
     naming the pair and the branch.
     """
-    cfg = cfg or FusionConfig()
     if len(branches) < 2:
         raise ValueError(f"need at least 2 branches to fold, got {len(branches)}")
 
-    pair_results = _merge_chain(branches, cfg)
+    pair_results = _merge_chain(branches, delta)
     running = branches[0]
     updated = list(branches)
     for i, res in enumerate(pair_results, start=1):
-        try:
-            if i < len(pair_results):
-                updated[i] = _unmerge_slot(branches[i].data, res, 1, renormalize)
-            else:
-                updated[0], updated[i] = unmerge_pair(
-                    running, branches[i], res, renormalize=renormalize
-                )
-        except _RescaleOverflow as exc:
-            raise _RescaleOverflow(exc.slot, exc.detail, pair=i) from None
+        where = f"unmerge of pair {i}"
+        if i == len(pair_results):  # slot 0 before slot 1, in unmerge_pair's order
+            updated[0] = _unmerge_slot(running.data, res, 0, renormalize, where, 0)
+        updated[i] = _unmerge_slot(branches[i].data, res, 1, renormalize, where, i)
         running = res.f_eff
     return FoldResult(f_eff=running, updated=tuple(updated), pair_results=pair_results)

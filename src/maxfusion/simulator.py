@@ -24,7 +24,7 @@ Branch embeddings are built from Hadamard directions when the channel
 count is a power of two, making their pairwise geometry exact: with the
 default amplitude 0.5 two branch embeddings have cosine similarity
 exactly 0.8, so overlapping same-target branches land above the default
-correlation gate (FusionConfig.delta).
+correlation gate (DEFAULT_DELTA, 0.7).
 
 Every run is deterministic given its seed: one generator is consumed in
 a fixed order (initial state first, then one noise field per step).
@@ -38,7 +38,7 @@ from functools import partial
 
 import numpy as np
 
-from .fusion import MAX_SELECT_DELTA, FusionConfig, _merge_chain, naive_average
+from .fusion import DEFAULT_DELTA, MAX_SELECT_DELTA, _check_delta, _merge_chain, naive_average
 from .tensor_core import FeatureMap, SelectionMask, _check_finite, _freeze, _integer, _shown
 
 STRATEGIES = ("maxfusion", "naive", "max_select", "single", "unconditional")
@@ -114,8 +114,11 @@ def branch_embedding(channels: int, index: int, amplitude: float = 0.5) -> np.nd
     embeddings have cosine similarity 1 / (1 + amplitude^2); otherwise a
     centered cosine pattern is used.
     """
+    channels, index = _integer("channels", channels), _integer("index", index)
     if channels < 2:
         raise ValueError("need at least 2 channels for a non-degenerate embedding")
+    if index < 0:
+        raise ValueError(f"index must be >= 0, got {index}")
     if not (amplitude > 0):
         raise ValueError(f"amplitude must be > 0, got {amplitude}")
     k = index + 1
@@ -192,7 +195,7 @@ class Scenario:
     prior_mean: float = 0.0
     prior_std: float = 1.0
     seed: int = 42
-    fusion: FusionConfig = field(default_factory=FusionConfig)
+    delta: float = DEFAULT_DELTA
     strategy: str = "maxfusion"
     single_branch: int = 0
     readout: np.ndarray | None = None
@@ -216,6 +219,7 @@ class Scenario:
                 raise _bad(key, ">= 0", value)
         if not np.isfinite(self.prior_mean):
             raise ValueError("scenario field 'prior_mean' must be finite")
+        _check_delta(self.delta)
         if self.strategy not in STRATEGIES:
             raise ValueError(
                 f"scenario field 'strategy' must be one of {STRATEGIES}, got {self.strategy!r}"
@@ -279,7 +283,7 @@ class RunReport:
     seed: int
     strategy: str
     delta: float | None
-    # when recorded, each step's branch features; maxfusion_fold(list(step), cfg) refolds one
+    # when recorded, each step's branch features; maxfusion_fold(list(step), delta) refolds one
     trace: tuple[tuple[FeatureMap, ...], ...] | None = None
 
     @property
@@ -365,16 +369,16 @@ def _gate(scenario: Scenario) -> float | None:
 
     naive counts as delta = -1, where every location averages.
     """
-    gates = {"maxfusion": scenario.fusion.delta, "max_select": MAX_SELECT_DELTA, "naive": -1.0}
+    gates = {"maxfusion": scenario.delta, "max_select": MAX_SELECT_DELTA, "naive": -1.0}
     return gates.get(scenario.strategy)
 
 
-def _apply_strategy(scenario: Scenario, cfg: FusionConfig, feats: tuple[FeatureMap, ...]):
+def _apply_strategy(scenario: Scenario, delta: float | None, feats: tuple[FeatureMap, ...]):
     strat = scenario.strategy
     if strat in ("maxfusion", "max_select"):
         if len(feats) == 1:
             return feats[0], ()
-        pairs = _merge_chain(feats, cfg)
+        pairs = _merge_chain(feats, delta)
         return pairs[-1].f_eff, tuple(SelectionStats.from_mask(r.selection) for r in pairs)
     if strat == "naive":
         # one all-averaged merge event, so the stats line up with a
@@ -418,7 +422,6 @@ def sample(scenario: Scenario, record_trace: bool = False) -> RunReport:
 
     lam = scenario.guidance_weight
     delta = _gate(scenario)
-    cfg = scenario.fusion if delta is None else replace(scenario.fusion, delta=delta)
     conditioned = scenario.strategy != "unconditional" and len(scenario.branches) > 0
     step_stats: list[tuple[SelectionStats, ...]] = []
     trace: list[tuple[FeatureMap, ...]] = []
@@ -436,7 +439,7 @@ def sample(scenario: Scenario, record_trace: bool = False) -> RunReport:
                 abar = float(sched.alpha_bar[t])
                 x0_hat = (x + (1.0 - abar) * score) / math.sqrt(abar)
                 feats = _encode_branches(scenario, x0_hat, t)
-                f_eff, events = _apply_strategy(scenario, cfg, feats)
+                f_eff, events = _apply_strategy(scenario, delta, feats)
                 if lam != 0.0:
                     s_eff = score + lam * decode_guidance(f_eff, scenario.readout)
             beta = float(sched.betas[t])
@@ -494,9 +497,8 @@ def run_ablation(scenario: Scenario, deltas) -> tuple[RunReport, ...]:
     deltas = list(deltas)
     if not deltas:
         raise ValueError("need at least one delta")
-    fused = replace(scenario, strategy="maxfusion")
-    # every delta is checked (by FusionConfig) before the first run
-    runs = [replace(fused, fusion=replace(scenario.fusion, delta=float(d))) for d in deltas]
+    # every delta is checked (by Scenario) before the first run
+    runs = [replace(scenario, strategy="maxfusion", delta=float(d)) for d in deltas]
     return tuple(map(sample, runs))
 
 
@@ -607,6 +609,7 @@ _SCENARIO_FIELDS = {
     "readout": _float_array,
 }
 _LINEAR_SCHEDULE_FIELDS = {"steps": _as_is, "beta_start": _number, "beta_end": _number}
+#: JSON nests Scenario.delta as fusion.delta
 _FUSION_FIELDS = {"delta": _number}
 _BRANCH_REQUIRED = ("mask", "target", "embedding")
 _BRANCH_FIELDS = {**dict.fromkeys(_BRANCH_REQUIRED, _float_array), "strength": _number}
@@ -623,7 +626,7 @@ def scenario_to_dict(s: Scenario) -> dict:
     return {
         **_fields(s, _SCENARIO_FIELDS),
         "schedule": {"betas": s.schedule.betas.tolist()},
-        "fusion": _fields(s.fusion, _FUSION_FIELDS),
+        "fusion": _fields(s, _FUSION_FIELDS),
         "branches": [_fields(br, _BRANCH_FIELDS) for br in s.branches],
     }
 
@@ -636,10 +639,10 @@ def scenario_from_dict(d: dict) -> Scenario:
     (``fusion.delta``, ``branches[0].mask``), as does a key that no
     converter takes.  Integer types, ranges, sizes and indices are
     checked by the constructors the values reach (Scenario, NoiseSchedule,
-    FusionConfig, Branch), which name the field the same way.  Absent
-    keys take their defaults.  The schedule accepts either an explicit {"betas": [...]}
-    list or linear parameters {"steps", "beta_start", "beta_end"}, never
-    both.
+    Branch), which name the field the same way.  ``fusion.delta`` fills
+    Scenario.delta.  Absent keys take their defaults.  The schedule
+    accepts either an explicit {"betas": [...]} list or linear parameters
+    {"steps", "beta_start", "beta_end"}, never both.
     """
     if not isinstance(d, dict):
         raise ValueError(f"a scenario must be a JSON object, got {type(d).__name__}")
@@ -652,8 +655,7 @@ def scenario_from_dict(d: dict) -> Scenario:
             fields = _present(sched_d, "schedule.", _LINEAR_SCHEDULE_FIELDS)
             kw["schedule"] = NoiseSchedule.linear(**fields)
     if "fusion" in d:
-        fields = _present(_object(d["fusion"], "fusion"), "fusion.", _FUSION_FIELDS)
-        kw["fusion"] = FusionConfig(**fields)
+        kw.update(_present(_object(d["fusion"], "fusion"), "fusion.", _FUSION_FIELDS))
     if "branches" in d:
         kw["branches"] = []
         for i, bd in enumerate(_array(d["branches"], "branches")):

@@ -106,7 +106,9 @@ class _Frozen:
     def __init__(self, data: np.ndarray):
         arr = np.asarray(data)
         _check_dims(arr, self._ndim, self._what)
-        self.data = _freeze(_check_finite(arr.astype(self._dtype)))
+        with np.errstate(over="ignore"):  # out-of-range values fail the finite check
+            cast = arr.astype(self._dtype)
+        self.data = _freeze(_check_finite(cast))
 
     @classmethod
     def _adopt(cls, data: np.ndarray, *rest):
@@ -170,7 +172,8 @@ def make_feature_map(
     for name, n in (("channels", channels), ("height", height), ("width", width)):
         if _integer(name, n) < 1:
             raise ValueError(f"{name} must be >= 1, got {n}")
-    flat = np.asarray(data, dtype=np.float32).ravel()
+    with np.errstate(over="ignore"):  # out-of-range values fail FeatureMap's finite check
+        flat = np.asarray(data, dtype=np.float32).ravel()
     expected = channels * height * width
     if flat.size != expected:
         raise ValueError(

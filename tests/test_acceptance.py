@@ -16,7 +16,6 @@ import oracles
 from maxfusion import (
     AVERAGED,
     FeatureMap,
-    FusionConfig,
     NoiseSchedule,
     Scenario,
     analytic_score,
@@ -60,10 +59,9 @@ def test_criterion_01_oracle_equivalence():
     for trial in range(1000):
         delta = DELTAS[trial % len(DELTAS)]
         renorm = bool(trial % 2)
-        cfg = FusionConfig(delta=delta)
         f1, f2, shape = _random_pair(rng)
 
-        res = merge_pair(f1, f2, cfg)
+        res = merge_pair(f1, f2, delta)
         eff, codes, rho, s1, s2 = oracles.merge(f1.data, f2.data, delta)
         np.testing.assert_array_equal(res.selection.codes, codes)
         np.testing.assert_allclose(res.f_eff.data, eff, atol=ATOL)
@@ -80,7 +78,7 @@ def test_criterion_01_oracle_equivalence():
             f3 = FeatureMap(
                 np.clip(rng.normal(size=shape), -6.0, 6.0).astype(np.float32)
             )
-            fold = maxfusion_fold([f1, f2, f3], cfg, renormalize=renorm)
+            fold = maxfusion_fold([f1, f2, f3], delta, renormalize=renorm)
             oeff, oupd, ocodes = oracles.fold(
                 [f1.data, f2.data, f3.data], delta, renorm
             )
@@ -101,10 +99,10 @@ def test_criterion_02_gate_extremes():
     rng = np.random.default_rng(1002)
     for _ in range(1000):
         f1, f2, _ = _random_pair(rng)
-        floor = merge_pair(f1, f2, FusionConfig(delta=-1.0))
+        floor = merge_pair(f1, f2, -1.0)
         assert floor.f_eff == naive_average([f1, f2])
         assert np.all(floor.selection.codes == AVERAGED)
-        ceil = merge_pair(f1, f2, FusionConfig(delta=2.0))
+        ceil = merge_pair(f1, f2, 2.0)
         forced = pure_max_select(f1, f2)
         assert ceil.f_eff == forced.f_eff
         assert ceil.selection == forced.selection
@@ -120,7 +118,7 @@ def test_criterion_03_idempotence():
         f, _, _ = _random_pair(rng)
         for delta in DELTAS:
             for renorm in (True, False):
-                res = merge_pair(f, f, FusionConfig(delta=delta))
+                res = merge_pair(f, f, delta)
                 assert res.f_eff == f
                 u1, u2 = unmerge_pair(f, f, res, renormalize=renorm)
                 assert u1 == f and u2 == f
@@ -135,13 +133,13 @@ def test_criterion_04_selection_scale_invariance():
     scales = (0.1, 1.0, 10.0)
     for _ in range(100):
         f1, f2, _ = _random_pair(rng, max_side=12)
-        base = merge_pair(f1, f2, FusionConfig(delta=0.7)).selection
+        base = merge_pair(f1, f2, 0.7).selection
         for c1 in scales:
             for c2 in scales:
                 scaled = merge_pair(
                     FeatureMap(f1.data * np.float32(c1)),
                     FeatureMap(f2.data * np.float32(c2)),
-                    FusionConfig(delta=0.7),
+                    0.7,
                 ).selection
                 assert scaled == base
     _pass(4, "masks identical across 9 scale combinations x 100 instances")
@@ -157,7 +155,7 @@ def test_criterion_05_renormalization_contract():
         delta = DELTAS[trial % len(DELTAS)]
         renorm = bool(trial % 2)
         f1, f2, _ = _random_pair(rng)
-        res = merge_pair(f1, f2, FusionConfig(delta=delta))
+        res = merge_pair(f1, f2, delta)
         outs = unmerge_pair(f1, f2, res, renormalize=renorm)
         codes = res.selection.codes
         for i, (orig, post) in enumerate(zip((f1, f2), outs)):
@@ -222,7 +220,7 @@ def test_criterion_08_complementary_averaging_path():
     overlap = (scn.branches[0].mask > 0) & (scn.branches[1].mask > 0)
     fractions = []
     for ts in rep.trace:
-        codes = maxfusion_fold(list(ts), scn.fusion).pair_results[0].selection.codes
+        codes = maxfusion_fold(list(ts), scn.delta).pair_results[0].selection.codes
         fractions.append(float(np.mean(codes[overlap] == AVERAGED)))
     assert min(fractions) > 0.5
     _pass(8, f"overlap averaged fraction per step in [{min(fractions):.2f}, {max(fractions):.2f}]")
@@ -249,9 +247,9 @@ def test_criterion_10_three_modality_fold():
     assert all(m >= 0 for m in rep.branch_mse)
     for step_idx in (0, 20, 49):
         step = rep.trace[step_idx]
-        fold = maxfusion_fold(list(step), scn.fusion)
+        fold = maxfusion_fold(list(step), scn.delta)
         feats = [f.data for f in step]
-        oeff, oupd, _ = oracles.fold(feats, scn.fusion.delta, True)
+        oeff, oupd, _ = oracles.fold(feats, scn.delta, True)
         np.testing.assert_allclose(fold.f_eff.data, oeff, atol=ATOL)
         for got, want in zip(fold.updated, oupd):
             np.testing.assert_allclose(got.data, want, atol=ATOL)
@@ -259,9 +257,8 @@ def test_criterion_10_three_modality_fold():
     rng = np.random.default_rng(1010)
     for _ in range(50):
         f1, f2, _ = _random_pair(rng)
-        cfg = FusionConfig()
-        fold = maxfusion_fold([f1, f2], cfg)
-        res = merge_pair(f1, f2, cfg)
+        fold = maxfusion_fold([f1, f2])
+        res = merge_pair(f1, f2)
         u1, u2 = unmerge_pair(f1, f2, res)
         assert fold.f_eff == res.f_eff
         assert fold.updated == (u1, u2)

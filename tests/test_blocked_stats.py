@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from maxfusion import (
     AVERAGED,
     FeatureMap,
-    FusionConfig,
     channel_std_map,
     correlation_map,
     merge_pair,
@@ -228,7 +227,7 @@ class TestFusionBitIdentical:
         x1, x2 = branch_pair(seed, shape, offset)
         f1, f2 = FeatureMap(x1), FeatureMap(x2)
         with small_blocks(shape, rows):
-            res = merge_pair(f1, f2, FusionConfig(delta=delta))
+            res = merge_pair(f1, f2, delta)
             u1, u2 = unmerge_pair(f1, f2, res, renormalize=renormalize)
         eff, codes = ref_merge(x1, x2, delta)
         assert same_bytes(res.f_eff.data, eff)
@@ -243,7 +242,7 @@ class TestFusionBitIdentical:
         x1 = np.array([[[3.0, 1.0]], [[3.0, -1.0]]], dtype=np.float32)
         x2 = np.array([[[2.0, 5.0]], [[2.0, 5.0]]], dtype=np.float32)
         f1, f2 = FeatureMap(x1), FeatureMap(x2)
-        res = merge_pair(f1, f2, FusionConfig(delta=2.0))
+        res = merge_pair(f1, f2, 2.0)
         u1, u2 = unmerge_pair(f1, f2, res, renormalize=renormalize)
         e1, e2 = ref_unmerge(x1, x2, res.f_eff.data, res.selection.codes, renormalize)
         assert same_bytes(u1.data, e1)

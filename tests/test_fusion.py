@@ -1,5 +1,4 @@
 import inspect
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ import oracles
 from maxfusion import (
     AVERAGED,
     FeatureMap,
-    FusionConfig,
+    Scenario,
     channel_std_map,
     make_feature_map,
     maxfusion_fold,
@@ -19,6 +18,7 @@ from maxfusion import (
     pure_max_select,
     unmerge_pair,
 )
+from maxfusion.fusion import DEFAULT_DELTA
 
 DELTAS = (-1.0, 0.0, 0.5, 0.7, 1.0, 2.0)
 
@@ -26,10 +26,6 @@ DELTAS = (-1.0, 0.0, 0.5, 0.7, 1.0, 2.0)
 def random_map(seed, shape=(4, 4, 4)) -> FeatureMap:
     rng = np.random.default_rng(seed)
     return FeatureMap(rng.normal(size=shape).astype(np.float32))
-
-
-def cfg(delta=0.7) -> FusionConfig:
-    return FusionConfig(delta=delta)
 
 
 class TestNaiveAverage:
@@ -61,13 +57,13 @@ class TestMergePair:
     @pytest.mark.parametrize("renorm", [True, False])
     def test_idempotent_on_identical_inputs(self, delta, renorm):
         f = random_map(5)
-        res = merge_pair(f, f, cfg(delta))
+        res = merge_pair(f, f, delta)
         assert res.f_eff == f
         assert unmerge_pair(f, f, res, renormalize=renorm) == (f, f)
 
     def test_delta_floor_reproduces_naive_average(self):
         f1, f2 = random_map(6), random_map(7)
-        res = merge_pair(f1, f2, cfg(delta=-1.0))
+        res = merge_pair(f1, f2, -1.0)
         assert res.f_eff == naive_average([f1, f2])
         assert np.all(res.selection.codes == AVERAGED)
 
@@ -76,7 +72,7 @@ class TestMergePair:
         # both sigma_hat = 1.0; exact tie goes to branch 0 wholesale
         f1 = make_feature_map(2, 1, 1, [1.0, 0.0])
         f2 = make_feature_map(2, 1, 1, [0.0, 1.0])
-        res = merge_pair(f1, f2, cfg(0.7))
+        res = merge_pair(f1, f2, 0.7)
         assert res.rho.data[0, 0] == 0.0
         assert res.sigma_hat[0].data[0, 0] == 1.0
         assert res.sigma_hat[1].data[0, 0] == 1.0
@@ -86,7 +82,7 @@ class TestMergePair:
     @pytest.mark.parametrize("delta", DELTAS)
     def test_matches_scalar_loop_oracle(self, delta):
         f1, f2 = random_map(8), random_map(9)
-        res = merge_pair(f1, f2, cfg(delta))
+        res = merge_pair(f1, f2, delta)
         eff, codes, rho, s1, s2 = oracles.merge(f1.data, f2.data, delta)
         np.testing.assert_array_equal(res.selection.codes, codes)
         np.testing.assert_allclose(res.f_eff.data, eff, atol=1e-6)
@@ -100,8 +96,8 @@ class TestMergePair:
         rng = np.random.default_rng(seed)
         f1 = FeatureMap(rng.normal(size=(3, 4, 4)).astype(np.float32))
         f2 = FeatureMap(rng.normal(size=(3, 4, 4)).astype(np.float32))
-        fwd = merge_pair(f1, f2, cfg(0.5))
-        rev = merge_pair(f2, f1, cfg(0.5))
+        fwd = merge_pair(f1, f2, 0.5)
+        rev = merge_pair(f2, f1, 0.5)
         tied = fwd.sigma_hat[0].data == fwd.sigma_hat[1].data
         averaged = fwd.selection.codes == AVERAGED
         assert np.array_equal(rev.selection.codes == AVERAGED, averaged)
@@ -115,12 +111,12 @@ class TestMergePair:
 
     def test_selection_invariant_under_per_branch_scaling(self):
         f1, f2 = random_map(10), random_map(11)
-        base = merge_pair(f1, f2, cfg(0.7)).selection
+        base = merge_pair(f1, f2, 0.7).selection
         for c1, c2 in [(0.1, 10.0), (10.0, 0.1), (0.1, 0.1)]:
             scaled = merge_pair(
                 FeatureMap(f1.data * np.float32(c1)),
                 FeatureMap(f2.data * np.float32(c2)),
-                cfg(0.7),
+                0.7,
             ).selection
             assert scaled == base
 
@@ -128,7 +124,7 @@ class TestMergePair:
 class TestUnmergePair:
     def test_averaged_locations_take_f_eff_on_both_branches(self):
         f1, f2 = random_map(12), random_map(13)
-        res = merge_pair(f1, f2, cfg(delta=-1.0))  # everything averaged
+        res = merge_pair(f1, f2, -1.0)  # everything averaged
         u1, u2 = unmerge_pair(f1, f2, res)
         assert u1 == res.f_eff
         assert u2 == res.f_eff
@@ -139,7 +135,7 @@ class TestUnmergePair:
         # delta = 0.8 forces the variance path (rho = 1/sqrt(2) ~ 0.707).
         f1 = make_feature_map(2, 1, 1, [2.0, -2.0])
         f2 = make_feature_map(2, 1, 1, [1.0, 0.0])
-        res = merge_pair(f1, f2, cfg(delta=0.8))
+        res = merge_pair(f1, f2, 0.8)
         assert res.selection.codes[0, 0] == 0
         u1, u2 = unmerge_pair(f1, f2, res)
         assert u1 == f1  # winner element-exact
@@ -149,7 +145,7 @@ class TestUnmergePair:
     def test_no_renorm_variant_keeps_loser_unchanged(self):
         f1 = make_feature_map(2, 1, 1, [2.0, -2.0])
         f2 = make_feature_map(2, 1, 1, [1.0, 0.0])
-        res = merge_pair(f1, f2, cfg(delta=0.8))
+        res = merge_pair(f1, f2, 0.8)
         u1, u2 = unmerge_pair(f1, f2, res, renormalize=False)
         assert u1 == f1
         assert u2 == f2
@@ -159,16 +155,16 @@ class TestUnmergePair:
         f1, f2 = random_map(12), random_map(13)
         res = merge_pair(f1, f2)
         with pytest.raises(TypeError):
-            unmerge_pair(f1, f2, res, cfg())
+            unmerge_pair(f1, f2, res, 0.7)
         with pytest.raises(TypeError):
-            maxfusion_fold([f1, f2], cfg(), False)
+            maxfusion_fold([f1, f2], 0.7, False)
         with pytest.raises(TypeError):
-            pure_max_select(f1, f2, cfg())
+            pure_max_select(f1, f2, 0.7)
 
     def test_zero_sigma_loser_becomes_zero_vector(self):
         f1 = make_feature_map(2, 1, 1, [1.0, -1.0])
         f2 = make_feature_map(2, 1, 1, [3.0, 3.0])  # constant: sigma 0
-        res = merge_pair(f1, f2, cfg(delta=2.0))
+        res = merge_pair(f1, f2, 2.0)
         assert res.selection.codes[0, 0] == 0
         _, u2 = unmerge_pair(f1, f2, res)
         np.testing.assert_array_equal(u2.data.ravel(), [0.0, 0.0])
@@ -186,7 +182,7 @@ class TestUnmergePair:
     @pytest.mark.parametrize("delta", DELTAS)
     def test_matches_scalar_loop_oracle(self, delta, renorm):
         f1, f2 = random_map(14), random_map(15)
-        res = merge_pair(f1, f2, cfg(delta))
+        res = merge_pair(f1, f2, delta)
         u1, u2 = unmerge_pair(f1, f2, res, renormalize=renorm)
         eff, codes, _, _, _ = oracles.merge(f1.data, f2.data, delta)
         e1, e2 = oracles.unmerge(f1.data, f2.data, eff, codes, renorm)
@@ -199,7 +195,7 @@ class TestUnmergePair:
         rng = np.random.default_rng(seed)
         f1 = FeatureMap(rng.normal(size=(5, 4, 4)).astype(np.float32))
         f2 = FeatureMap(rng.normal(size=(5, 4, 4)).astype(np.float32))
-        res = merge_pair(f1, f2, cfg(delta))
+        res = merge_pair(f1, f2, delta)
         u1, u2 = unmerge_pair(f1, f2, res)
         codes = res.selection.codes
         for i, (orig, post) in enumerate(((f1, u1), (f2, u2))):
@@ -219,7 +215,7 @@ class TestPureMaxSelect:
     def test_equals_merge_with_delta_above_ceiling(self):
         f1, f2 = random_map(16), random_map(17)
         forced = pure_max_select(f1, f2)
-        gated = merge_pair(f1, f2, cfg(delta=2.0))
+        gated = merge_pair(f1, f2, 2.0)
         assert forced.f_eff == gated.f_eff
         assert forced.selection == gated.selection
         assert forced.rho == gated.rho
@@ -236,13 +232,13 @@ class TestPureMaxSelect:
 class TestFold:
     def test_idempotent_through_three_copies(self):
         f = random_map(21)
-        fold = maxfusion_fold([f, f, f], cfg())
+        fold = maxfusion_fold([f, f, f])
         assert fold.f_eff == f
 
     def test_two_branches_reduce_to_direct_pair_path(self):
         f1, f2 = random_map(22), random_map(23)
-        fold = maxfusion_fold([f1, f2], cfg())
-        res = merge_pair(f1, f2, cfg())
+        fold = maxfusion_fold([f1, f2])
+        res = merge_pair(f1, f2)
         u1, u2 = unmerge_pair(f1, f2, res)
         assert fold.f_eff == res.f_eff
         assert fold.updated == (u1, u2)
@@ -252,7 +248,7 @@ class TestFold:
     @pytest.mark.parametrize("delta", DELTAS)
     def test_three_branches_match_fold_oracle(self, delta, renorm):
         branches = [random_map(s, shape=(8, 4, 4)) for s in (24, 25, 26)]
-        fold = maxfusion_fold(branches, cfg(delta), renormalize=renorm)
+        fold = maxfusion_fold(branches, delta, renormalize=renorm)
         eff, updated, codes = oracles.fold(
             [b.data for b in branches], delta, renorm
         )
@@ -264,7 +260,7 @@ class TestFold:
 
     def test_fewer_than_two_branches_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
-            maxfusion_fold([random_map(0)], cfg())
+            maxfusion_fold([random_map(0)])
 
 
 BIG = np.float32(1e38)
@@ -310,7 +306,7 @@ class TestUnmergeOverflow:
         # replaces it, so the fold skips it and returns what the oracle fold keeps
         quiet, loud = quiet_and_loud()
         third = random_map(27, shape=(4, 1, 2))
-        fold = maxfusion_fold([loud, quiet, third], cfg())
+        fold = maxfusion_fold([loud, quiet, third])
         eff, updated, codes = oracles.fold([b.data for b in (loud, quiet, third)], 0.7, True)
         np.testing.assert_allclose(fold.f_eff.data, eff, rtol=1e-6)
         for got, want in zip(fold.updated, updated):
@@ -319,13 +315,25 @@ class TestUnmergeOverflow:
             np.testing.assert_array_equal(pair.selection.codes, want_codes)
 
 
-class TestFusionConfig:
-    def test_delta_must_be_finite(self):
-        with pytest.raises(ValueError, match="delta"):
-            FusionConfig(delta=float("nan"))
+class TestDeltaGate:
+    NON_FINITE = (float("nan"), float("inf"), -float("inf"))
+
+    @pytest.mark.parametrize("delta", NON_FINITE)
+    def test_merge_and_fold_reject_a_non_finite_delta(self, delta):
+        f1, f2 = random_map(30), random_map(31)
+        with pytest.raises(ValueError, match="^delta must be finite"):
+            merge_pair(f1, f2, delta)
+        with pytest.raises(ValueError, match="^delta must be finite"):
+            maxfusion_fold([f1, f2], delta)
+
+    @pytest.mark.parametrize("delta", NON_FINITE)
+    def test_scenario_rejects_a_non_finite_delta(self, delta):
+        with pytest.raises(ValueError, match="^delta must be finite"):
+            Scenario(height=2, width=2, delta=delta)
 
     def test_defaults(self):
-        assert [f.name for f in fields(FusionConfig)] == ["delta"]
-        assert FusionConfig().delta == 0.7
+        for fusing in (merge_pair, maxfusion_fold):
+            assert inspect.signature(fusing).parameters["delta"].default == DEFAULT_DELTA
+        assert Scenario(height=2, width=2).delta == DEFAULT_DELTA
         for unmerging in (unmerge_pair, maxfusion_fold):  # the loser rescale is on by default
             assert inspect.signature(unmerging).parameters["renormalize"].default is True

@@ -1,5 +1,6 @@
 import copy
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -13,7 +14,6 @@ from scenario_json import SUBSTITUTES, blamed_key, key_paths, small_scenario_dic
 from maxfusion import (
     AVERAGED,
     Branch,
-    FusionConfig,
     NoiseSchedule,
     Scenario,
     analytic_score,
@@ -206,6 +206,19 @@ class TestEmbeddings:
         cos = float(w0 @ w1 / math.sqrt((w0 @ w0) * (w1 @ w1)))
         assert cos == 0.8
 
+    @pytest.mark.parametrize(
+        "channels, index, message",
+        [
+            (8.0, 0, "channels must be an integer, got 8.0"),
+            (8, True, "index must be an integer, got True"),
+            (8, -1, "index must be >= 0, got -1"),
+        ],
+        ids=["float-channels", "bool-index", "negative-index"],
+    )
+    def test_channels_and_index_are_checked(self, channels, index, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            branch_embedding(channels, index)
+
     def test_scenario_rejects_embedding_violating_identity(self):
         with pytest.raises(ValueError, match="read-out identity"):
             tiny_scenario(
@@ -319,7 +332,7 @@ class TestSampling:
          ("single", None), ("unconditional", None)],
     )
     def test_report_delta_is_the_gate_the_run_fused_at(self, strategy, delta):
-        rep = sample(tiny_scenario(strategy=strategy, fusion=FusionConfig(delta=0.3)))
+        rep = sample(tiny_scenario(strategy=strategy, delta=0.3))
         assert rep.delta == delta
         assert not rep.same_outputs(replace(rep, delta=0.5))
 
@@ -337,7 +350,7 @@ class TestSampling:
         rep = sample(scn, record_trace=True)
         step = rep.trace[10]
         assert step
-        fold = maxfusion_fold(list(step), scn.fusion)
+        fold = maxfusion_fold(list(step), scn.delta)
         f1, f2 = step
         pair = fold.pair_results[0]
         u1, u2 = fold.updated
@@ -355,7 +368,7 @@ class TestSampling:
         rep = sample(scn, record_trace=True)
         for events, ts in zip(rep.step_stats, reversed_trace_steps(rep)):
             assert len(events) == 1
-            pair = maxfusion_fold(list(ts), scn.fusion).pair_results[0]
+            pair = maxfusion_fold(list(ts), scn.delta).pair_results[0]
             assert events[0].averaged_fraction == pair.selection.averaged_fraction()
 
     def test_three_way_runs_and_reports_three_mses(self):
@@ -367,16 +380,16 @@ class TestSampling:
         scn = preset_scenario("three_way")
         rep = sample(scn, record_trace=True)
         step = rep.trace[25]
-        fold = maxfusion_fold(list(step), scn.fusion)
+        fold = maxfusion_fold(list(step), scn.delta)
         feats = [f.data for f in step]
-        eff, updated, codes = oracles.fold(feats, scn.fusion.delta, True)
+        eff, updated, codes = oracles.fold(feats, scn.delta, True)
         np.testing.assert_allclose(fold.f_eff.data, eff, atol=1e-6)
         for got, want in zip(fold.updated, updated):
             np.testing.assert_allclose(got.data, want, atol=1e-6)
 
 
 def with_delta(scn, delta):
-    return replace(scn, fusion=replace(scn.fusion, delta=delta))
+    return replace(scn, delta=delta)
 
 
 def replace_strategy(report, name):
@@ -477,7 +490,7 @@ class TestPresets:
         rep = sample(scn, record_trace=True)
         overlap = (scn.branches[0].mask > 0) & (scn.branches[1].mask > 0)
         for ts in rep.trace:
-            codes = maxfusion_fold(list(ts), scn.fusion).pair_results[0].selection.codes
+            codes = maxfusion_fold(list(ts), scn.delta).pair_results[0].selection.codes
             assert np.mean(codes[overlap] == AVERAGED) > 0.5
 
     def test_observation_two_diagnostic_inside_vs_outside(self):

@@ -59,6 +59,11 @@ class TestFeatureMapConstruction:
             make_feature_map(1, 1, 1, [float("nan")])
         with pytest.raises(ValueError, match="non-finite.*index 3"):
             make_feature_map(2, 2, 1, [0.0, 1.0, 2.0, float("inf")])
+        # beyond float32 range: only the finite check reports, with no cast warning
+        with pytest.raises(ValueError, match="non-finite.*index 0"):
+            make_feature_map(1, 1, 1, [1e39])
+        with pytest.raises(ValueError, match="non-finite.*index 0"):
+            FeatureMap(np.full((1, 1, 1), 1e39))
 
     def test_length_mismatch_names_expected_and_got(self):
         with pytest.raises(ValueError, match="expected 8.*got 7"):

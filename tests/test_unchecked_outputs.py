@@ -14,7 +14,6 @@ import pytest
 from maxfusion import (
     AVERAGED,
     FeatureMap,
-    FusionConfig,
     SelectionMask,
     SpatialMap,
     branch_encode,
@@ -79,7 +78,7 @@ def _finite(sm: SpatialMap) -> np.ndarray:
 @pytest.mark.parametrize("eps", EPSILONS)
 def test_merge_outputs_finite_and_in_range(pair, delta, eps):
     f1, f2 = PAIRS[pair]
-    res = merge_pair(f1, f2, FusionConfig(delta=delta))
+    res = merge_pair(f1, f2, delta)
     # f_eff holds an input vector, or the float64 mean of two, rounded to float32
     mean = ((f1.data.astype(np.float64) + f2.data) / 2.0).astype(np.float32)
     codes = res.selection.codes[np.newaxis]
