@@ -29,7 +29,7 @@ from .simulator import (
     sample,
     scenario_from_dict,
 )
-from .stats import channel_std_map, correlation_map, normalized_std_map
+from .stats import _normalize, channel_std_map, correlation_map
 from .tensor_core import (
     HEADER_SIZE,
     FeatureMap,
@@ -96,8 +96,9 @@ def cmd_stats(args) -> int:
     maps = _load_features(args.inputs)
     out = _out_dir(args)
     for i, fm in enumerate(maps):
-        _write(out, f"sigma_{i}.mxft", write_tensor, channel_std_map(fm))
-        sigma_hat = normalized_std_map(fm)
+        sigma = channel_std_map(fm)
+        _write(out, f"sigma_{i}.mxft", write_tensor, sigma)
+        sigma_hat = SpatialMap._adopt(_normalize(sigma.data))  # normalized_std_map, from this sigma
         _write(out, f"sigma_hat_{i}.mxft", write_tensor, sigma_hat)
         _write(out, f"sigma_hat_{i}.pgm", write_pgm, sigma_hat)
     summary = {"inputs": len(maps), "out_dir": str(out)}
@@ -146,13 +147,11 @@ def cmd_fuse(args) -> int:
 
 
 def _scenario_from_args(args) -> Scenario:
-    if args.scenario:
-        with open(args.scenario, "r", encoding="utf-8") as fh:
-            scn = scenario_from_dict(json.load(fh))
-    elif args.preset:
+    if args.scenario is None:  # argparse requires exactly one of the two
         scn = preset_scenario(args.preset)
     else:
-        raise ValueError("one of --preset or --scenario is required")
+        with open(args.scenario, "r", encoding="utf-8") as fh:
+            scn = scenario_from_dict(json.load(fh))
     delta = scn.delta if args.delta is None else args.delta
     seed = scn.seed if args.seed is None else args.seed
     return replace(scn, delta=delta, seed=seed)
@@ -285,8 +284,9 @@ def _add_delta_flag(sp) -> None:
 
 
 def _add_scenario_flags(sp) -> None:
-    sp.add_argument("--preset", default=None, help=f"named scenario: {', '.join(PRESET_NAMES)}")
-    sp.add_argument("--scenario", default=None, help="path to a scenario JSON file")
+    source = sp.add_mutually_exclusive_group(required=True)
+    source.add_argument("--preset", help=f"named scenario: {', '.join(PRESET_NAMES)}")
+    source.add_argument("--scenario", help="path to a scenario JSON file")
     _add_delta_flag(sp)
     sp.add_argument("--seed", type=int, default=None, help=f"override the run seed (default {Scenario.seed})")
     sp.add_argument("--out", default="./out", help="output directory (default ./out)")

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .stats import EPSILON_NORM, _normalize, _pair_pass
-from .tensor_core import AVERAGED, FeatureMap, SelectionMask, SpatialMap, _check_finite
+from .tensor_core import AVERAGED, FeatureMap, SelectionMask, SpatialMap, _check_finite, _real
 
 #: The default correlation gate.  Any finite delta is legal: values in [-1, 1]
 #: are meaningful, sentinels outside force one path (-1 always averages,
@@ -48,11 +48,6 @@ from .tensor_core import AVERAGED, FeatureMap, SelectionMask, SpatialMap, _check
 DEFAULT_DELTA = 0.7
 #: A gate threshold above rho's ceiling of 1, so the merge never averages.
 MAX_SELECT_DELTA = 2.0
-
-
-def _check_delta(delta: float) -> None:
-    if not np.isfinite(delta):
-        raise ValueError(f"delta must be finite, got {delta}")
 
 
 @dataclass(frozen=True)
@@ -113,9 +108,9 @@ def merge_pair(f1: FeatureMap, f2: FeatureMap, delta: float = DEFAULT_DELTA) -> 
     larger sigma_hat contributes its entire channel vector and the
     location is marked with the winner's index (exact ties go to 0).
     rho, both sigma maps and the average come from one blocked pass.  A
-    non-finite delta raises ValueError.
+    delta that is not a finite real number raises ValueError.
     """
-    _check_delta(delta)
+    delta = _real("delta", delta)
     _require_same_shape((f1, f2))
     rho, sigma1, sigma2, avg = _pair_pass(f1.data, f2.data)
     s1_hat, s2_hat = _normalize(sigma1), _normalize(sigma2)

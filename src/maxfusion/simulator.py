@@ -21,10 +21,10 @@ replaces the network with closed forms:
   update.
 
 Branch embeddings are built from Hadamard directions when the channel
-count is a power of two, making their pairwise geometry exact: with the
-default amplitude 0.5 two branch embeddings have cosine similarity
-exactly 0.8, so overlapping same-target branches land above the default
-correlation gate (DEFAULT_DELTA, 0.7).
+count is a power of two, making their pairwise geometry exact: at their
+amplitude 0.5 two branch embeddings have cosine similarity exactly 0.8,
+so overlapping same-target branches land above the default correlation
+gate (DEFAULT_DELTA, 0.7).
 
 Every run is deterministic given its seed: one generator is consumed in
 a fixed order (initial state first, then one noise field per step).
@@ -38,8 +38,8 @@ from functools import partial
 
 import numpy as np
 
-from .fusion import DEFAULT_DELTA, MAX_SELECT_DELTA, _check_delta, _merge_chain, naive_average
-from .tensor_core import FeatureMap, SelectionMask, _check_finite, _freeze, _integer, _shown
+from .fusion import DEFAULT_DELTA, MAX_SELECT_DELTA, _merge_chain, naive_average
+from .tensor_core import FeatureMap, SelectionMask, _check_finite, _freeze, _integer, _real, _shown
 
 STRATEGIES = ("maxfusion", "naive", "max_select", "single", "unconditional")
 #: Each preset branch: its mask rectangle (rows r0:r1, columns c0:c1) and constant target.
@@ -49,6 +49,8 @@ _PRESET_BRANCHES = {
     "three_way": (((1, 15, 0, 5), 2.0), ((1, 15, 6, 10), -2.0), ((1, 15, 11, 16), 1.0)),
 }
 PRESET_NAMES = tuple(_PRESET_BRANCHES)
+#: std(w) of every branch embedding w, whose mean is 1
+_AMPLITUDE = 0.5
 
 #: Upper bounds on a scenario's sizes, checked by Scenario and NoiseSchedule
 #: before anything of that size is allocated.
@@ -95,7 +97,7 @@ class NoiseSchedule:
         if not 1 <= (steps := _integer("scenario field 'schedule.steps'", steps)) <= MAX_STEPS:
             raise _bad("schedule.steps", f"in [1, {MAX_STEPS}]", steps)
         for key, beta in (("beta_start", beta_start), ("beta_end", beta_end)):
-            if not 0.0 < beta < 1.0:
+            if not 0.0 < _real(f"scenario field 'schedule.{key}'", beta) < 1.0:
                 raise _bad(f"schedule.{key}", "a number in (0, 1)", beta)
         return cls(np.linspace(beta_start, beta_end, steps))
 
@@ -105,22 +107,20 @@ def _hadamard_row(size: int, k: int) -> np.ndarray:
     return np.array(signs)
 
 
-def branch_embedding(channels: int, index: int, amplitude: float = 0.5) -> np.ndarray:
-    """Embedding w = 1 + amplitude * v with mean(v) = 0 and std(v) = 1.
+def branch_embedding(channels: int, index: int) -> np.ndarray:
+    """Embedding w = 1 + a * v with a = 0.5, mean(v) = 0 and std(v) = 1.
 
     Against the uniform read-out u = 1/C this gives <u, w> = 1 exactly
-    and std(w) = amplitude.  For power-of-two channel counts v is a
-    Hadamard row, so distinct indices are exactly orthogonal and any two
-    embeddings have cosine similarity 1 / (1 + amplitude^2); otherwise a
-    centered cosine pattern is used.
+    and std(w) = a.  For power-of-two channel counts v is a Hadamard row,
+    so distinct indices are exactly orthogonal and any two embeddings
+    have cosine similarity 1 / (1 + a^2) = 0.8; otherwise a centered
+    cosine pattern is used.
     """
     channels, index = _integer("channels", channels), _integer("index", index)
     if channels < 2:
         raise ValueError("need at least 2 channels for a non-degenerate embedding")
     if index < 0:
         raise ValueError(f"index must be >= 0, got {index}")
-    if not (amplitude > 0):
-        raise ValueError(f"amplitude must be > 0, got {amplitude}")
     k = index + 1
     if channels & (channels - 1) == 0 and k < channels:
         direction = _hadamard_row(channels, k)
@@ -132,7 +132,7 @@ def branch_embedding(channels: int, index: int, amplitude: float = 0.5) -> np.nd
         if sd < 1e-9:
             raise ValueError(f"degenerate embedding direction for index {index}")
         direction = raw / sd
-    return 1.0 + amplitude * direction
+    return 1.0 + _AMPLITUDE * direction
 
 
 def default_readout(channels: int) -> np.ndarray:
@@ -170,12 +170,12 @@ class Branch:
             raise ValueError("branch field 'mask' must lie in [0, 1]")
         if not np.isfinite(target).all() or not np.isfinite(emb).all():
             raise ValueError("branch fields must be finite")
-        if not (np.isfinite(self.strength) and self.strength > 0):
-            raise ValueError(f"branch field 'strength' must be > 0, got {self.strength}")
+        if (strength := _real("branch field 'strength'", self.strength)) <= 0:
+            raise ValueError(f"branch field 'strength' must be > 0, got {strength}")
         object.__setattr__(self, "mask", _freeze(mask.copy()))
         object.__setattr__(self, "target", _freeze(target.copy()))
         object.__setattr__(self, "embedding", _freeze(emb.copy()))
-        object.__setattr__(self, "strength", float(self.strength))
+        object.__setattr__(self, "strength", strength)
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,16 +214,14 @@ class Scenario:
                 f"scenario fields 'channels' * 'height' * 'width' must be <= "
                 f"{MAX_FEATURE_VALUES}, got {self.channels} * {self.height} * {self.width}"
             )
+        for key in ("guidance_weight", "prior_mean", "prior_std"):
+            object.__setattr__(self, key, _real(f"scenario field '{key}'", getattr(self, key)))
+        object.__setattr__(self, "delta", _real("delta", self.delta))
         for key in ("guidance_weight", "prior_std", "seed", "single_branch"):
-            if not 0 <= (value := getattr(self, key)) < math.inf:  # NaN fails too
+            if (value := getattr(self, key)) < 0:
                 raise _bad(key, ">= 0", value)
-        if not np.isfinite(self.prior_mean):
-            raise ValueError("scenario field 'prior_mean' must be finite")
-        _check_delta(self.delta)
         if self.strategy not in STRATEGIES:
-            raise ValueError(
-                f"scenario field 'strategy' must be one of {STRATEGIES}, got {self.strategy!r}"
-            )
+            raise _bad("strategy", f"one of {STRATEGIES}", self.strategy)
         object.__setattr__(self, "branches", tuple(self.branches))
         if self.strategy == "single" and self.single_branch >= len(self.branches):
             raise ValueError(
@@ -498,7 +496,7 @@ def run_ablation(scenario: Scenario, deltas) -> tuple[RunReport, ...]:
     if not deltas:
         raise ValueError("need at least one delta")
     # every delta is checked (by Scenario) before the first run
-    runs = [replace(scenario, strategy="maxfusion", delta=float(d)) for d in deltas]
+    runs = [replace(scenario, strategy="maxfusion", delta=d) for d in deltas]
     return tuple(map(sample, runs))
 
 
@@ -538,20 +536,12 @@ def preset_scenario(name: str) -> Scenario:
     return Scenario(height=h, width=w, branches=branches)
 
 
-def _as_is(value, path: str):  # an integer field: Scenario or NoiseSchedule.linear checks it
+def _as_is(value, path: str):  # an integer or the strategy: the constructor checks it
     return value
 
 
-def _number(value, path: str) -> float:
-    """A finite JSON number (strict JSON has no NaN or Infinity); no bools or strings."""
-    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    try:
-        x = float(value) if is_number else math.nan
-    except OverflowError:  # an integer past the float range
-        x = math.nan
-    if not math.isfinite(x):
-        raise _bad(path, "a finite number", value)
-    return x
+def _number(value, path: str) -> float:  # named by its JSON path, before any constructor
+    return _real(f"scenario field '{path}'", value)
 
 
 def _typed(value, path: str, kind: type, want: str):
@@ -561,7 +551,6 @@ def _typed(value, path: str, kind: type, want: str):
     return value
 
 
-_string = partial(_typed, kind=str, want="a string")
 _object = partial(_typed, kind=dict, want="an object")
 _array = partial(_typed, kind=list, want="an array")
 
@@ -604,7 +593,7 @@ _SCENARIO_FIELDS = {
     "prior_mean": _number,
     "prior_std": _number,
     "seed": _as_is,
-    "strategy": _string,
+    "strategy": _as_is,
     "single_branch": _as_is,
     "readout": _float_array,
 }
@@ -637,9 +626,9 @@ def scenario_from_dict(d: dict) -> Scenario:
     Only the keys present are converted, each by the converter of its
     JSON type, and a wrong type names the dotted field path
     (``fusion.delta``, ``branches[0].mask``), as does a key that no
-    converter takes.  Integer types, ranges, sizes and indices are
-    checked by the constructors the values reach (Scenario, NoiseSchedule,
-    Branch), which name the field the same way.  ``fusion.delta`` fills
+    converter takes.  Integer types, ranges, sizes, indices and the
+    strategy name are checked by the constructors the values reach
+    (Scenario, NoiseSchedule, Branch), which name the field the same way.  ``fusion.delta`` fills
     Scenario.delta.  Absent keys take their defaults.  The schedule
     accepts either an explicit {"betas": [...]} list or linear parameters
     {"steps", "beta_start", "beta_end"}, never both.

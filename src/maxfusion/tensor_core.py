@@ -44,6 +44,7 @@ dependency.
 from __future__ import annotations
 
 import io
+import math
 import struct
 from typing import BinaryIO, Sequence
 
@@ -79,6 +80,18 @@ def _integer(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {_shown(value)}")
     return int(value)
+
+
+def _real(name: str, value) -> float:
+    """value as a finite float if it is a real number (a numpy real included, a bool not)."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    try:
+        x = float(value) if real else math.nan
+    except OverflowError:  # an integer past the float range
+        x = math.nan
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite and real, got {_shown(value)}")
+    return x
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -223,13 +236,14 @@ class SelectionMask(_Frozen):
         _check_dims(arr, 2, "an (H, W) code")
         if (n_branches := _integer("n_branches", n_branches)) < 1:
             raise ValueError(f"n_branches must be >= 1, got {n_branches}")
-        arr = arr.astype(np.int32)
-        if arr.min(initial=AVERAGED) < AVERAGED or arr.max(initial=0) >= n_branches:
+        if arr.dtype.kind not in "iu":  # checked before the int32 cast, which would wrap
+            raise ValueError(f"selection codes must be integers, got dtype {arr.dtype}")
+        if arr.min() < AVERAGED or arr.max() >= n_branches:
             raise ValueError(
                 f"selection codes must be {AVERAGED} (averaged) or a branch index "
                 f"< {n_branches}, got range [{arr.min()}, {arr.max()}]"
             )
-        self.codes = _freeze(arr)
+        self.codes = _freeze(arr.astype(np.int32))
         self.n_branches = n_branches
 
     def _fractions(self) -> tuple[float, ...]:

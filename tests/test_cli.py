@@ -30,7 +30,7 @@ from maxfusion import (
     scenario_to_dict,
     write_tensor,
 )
-from maxfusion import simulator
+from maxfusion import simulator, stats
 from maxfusion.cli import main
 from maxfusion.tensor_core import HEADER_SIZE
 from scenario_json import SUBSTITUTES, blamed_key, key_paths, small_scenario_dicts, substituted
@@ -104,6 +104,23 @@ class TestStatsCommand:
         src = tmp_path / "t.mxft"
         write_tensor_file(src, random_tensor(2))
         assert main(["stats", str(src), str(src), str(src), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("n_inputs", [1, 2])
+    def test_one_std_pass_per_input(self, n_inputs, tmp_path, monkeypatch):
+        passes = []
+        std_map = stats._std_map
+        monkeypatch.setattr(stats, "_std_map", lambda x: passes.append(x) or std_map(x))
+        paths = []
+        for i in range(n_inputs):
+            paths.append(str(tmp_path / f"t{i}.mxft"))
+            write_tensor_file(paths[-1], random_tensor(i))
+        assert main(["stats", *paths, "--out", str(tmp_path / "o")]) == 0
+        assert len(passes) == n_inputs
+        # sigma_hat is sigma's normalization, as normalized_std_map computes it
+        for i, fm in enumerate(map(load_tensor_file, paths)):
+            want = io.BytesIO()
+            write_tensor(stats.normalized_std_map(fm), want)
+            assert (tmp_path / "o" / f"sigma_hat_{i}.mxft").read_bytes() == want.getvalue()
 
 
 class TestFuseCommand:
@@ -391,6 +408,11 @@ PYTHON_OVER_BOUND = {
         "'single_branch'",
         lambda: replace(preset_scenario("contradictory"), single_branch=-1),
     ),
+    # past the float range: sample() could not scale the guidance by it
+    "guidance_weight": (
+        "'guidance_weight'",
+        lambda: Scenario(height=1, width=1, guidance_weight=10**400),
+    ),
 }
 
 
@@ -443,6 +465,16 @@ class TestScenarioSizeBounds:
         betas = np.linspace(1e-4, 0.02, steps).tolist()
         d = {"height": 1, "width": 1, "schedule": {"betas": betas}}
         assert simulator.scenario_from_dict(d).schedule.steps == steps
+
+
+@pytest.mark.parametrize("command", ["simulate", "ablate", "compare"])
+@pytest.mark.parametrize("both", [False, True], ids=["neither", "both"])
+def test_preset_and_scenario_exclude_each_other(command, both, tmp_path, capsys):
+    sources = ["--preset", "contradictory", "--scenario", str(_preset_json_with(tmp_path, (), 0))]
+    argv = [command, *(sources if both else []), "--out", str(tmp_path / "o")]
+    assert main([*argv, "--deltas", "0.7"] if command == "ablate" else argv) == 2
+    assert "--preset" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(

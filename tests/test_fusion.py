@@ -19,6 +19,7 @@ from maxfusion import (
     unmerge_pair,
 )
 from maxfusion.fusion import DEFAULT_DELTA
+from maxfusion.simulator import preset_scenario, run_ablation
 
 DELTAS = (-1.0, 0.0, 0.5, 0.7, 1.0, 2.0)
 
@@ -325,6 +326,28 @@ class TestDeltaGate:
             merge_pair(f1, f2, delta)
         with pytest.raises(ValueError, match="^delta must be finite"):
             maxfusion_fold([f1, f2], delta)
+
+    # each is rejected by the one number rule: a string, no value, a bool, an integer
+    # past the float range, NaN
+    NOT_REAL = ("0.5", None, True, 10**400, float("nan"))
+    DELTA_CALLS = {
+        "merge_pair": lambda d: merge_pair(random_map(30), random_map(31), d),
+        "maxfusion_fold": lambda d: maxfusion_fold([random_map(30), random_map(31)], d),
+        "Scenario": lambda d: Scenario(height=2, width=2, delta=d),
+        "run_ablation": lambda d: run_ablation(preset_scenario("contradictory"), [0.5, d]),
+    }
+
+    @pytest.mark.parametrize("delta", NOT_REAL, ids=["str", "none", "bool", "huge_int", "nan"])
+    @pytest.mark.parametrize("call", DELTA_CALLS)
+    def test_a_delta_that_is_not_a_finite_real_is_rejected(self, call, delta):
+        with pytest.raises(ValueError, match="^delta must be finite and real, got "):
+            self.DELTA_CALLS[call](delta)
+
+    def test_numpy_reals_accepted_as_floats(self):
+        scn = Scenario(height=2, width=2, delta=np.float32(0.5))
+        assert type(scn.delta) is float and scn.delta == np.float32(0.5)
+        f1, f2 = random_map(30), random_map(31)
+        assert merge_pair(f1, f2, np.int64(1)).selection == merge_pair(f1, f2, 1.0).selection
 
     @pytest.mark.parametrize("delta", NON_FINITE)
     def test_scenario_rejects_a_non_finite_delta(self, delta):

@@ -268,6 +268,39 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match=rf"^scenario field '{key}' must be an integer, got "):
             call()
 
+    # each bad value once in each real-valued field: a string, no value, a bool,
+    # an integer past the float range, NaN
+    NOT_REAL = ("0.5", None, True, 10**400, math.nan)
+    REAL_FIELDS = {  # (the field as its error names it, a call with the value in that field)
+        "guidance_weight": (
+            "scenario field 'guidance_weight'", lambda v: Scenario(2, 2, guidance_weight=v)
+        ),
+        "prior_mean": ("scenario field 'prior_mean'", lambda v: Scenario(2, 2, prior_mean=v)),
+        "prior_std": ("scenario field 'prior_std'", lambda v: Scenario(2, 2, prior_std=v)),
+        "strength": (
+            "branch field 'strength'",
+            lambda v: Branch(np.ones((2, 2)), np.zeros((2, 2)), np.ones(2), strength=v),
+        ),
+        "beta_start": (
+            "scenario field 'schedule.beta_start'", lambda v: NoiseSchedule.linear(beta_start=v)
+        ),
+        "beta_end": (
+            "scenario field 'schedule.beta_end'", lambda v: NoiseSchedule.linear(beta_end=v)
+        ),
+    }
+
+    @pytest.mark.parametrize("value", NOT_REAL, ids=["str", "none", "bool", "huge_int", "nan"])
+    @pytest.mark.parametrize("field", REAL_FIELDS)
+    def test_real_fields_reject_non_reals(self, field, value):
+        name, call = self.REAL_FIELDS[field]
+        with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be finite and real, got "):
+            call(value)
+
+    def test_numpy_reals_accepted_as_floats(self):
+        scn = tiny_scenario(guidance_weight=np.float32(1.5), prior_mean=np.int64(0))
+        assert type(scn.guidance_weight) is float and type(scn.prior_mean) is float
+        assert sample(scn).same_outputs(sample(tiny_scenario()))
+
     def test_numpy_integers_accepted_as_ints(self):
         sized = dict(height=np.int64(6), width=np.uint16(6), channels=np.int32(8))
         scn = tiny_scenario(**sized, seed=np.int8(7), single_branch=np.int64(0))

@@ -240,6 +240,13 @@ class TestSelectionMask:
             SelectionMask(np.array([[2]]), n_branches=2)
         with pytest.raises(ValueError, match="branch index"):
             SelectionMask(np.array([[-2]]), n_branches=2)
+        # checked before the int32 cast, which would wrap 2**40 to 0 and truncate 1.7 to 1
+        with pytest.raises(ValueError, match=r"branch index < 2, got range \[1099511627776, "):
+            SelectionMask(np.array([[2**40]]), n_branches=2)
+        for codes in ([[1.7]], [[np.nan]], [[True]]):
+            with pytest.raises(ValueError, match="^selection codes must be integers, got dtype "):
+                SelectionMask(np.array(codes), n_branches=2)
+        assert SelectionMask(np.array([[1]], dtype=np.uint64), 2).codes.dtype == np.int32
 
     @pytest.mark.parametrize("n_branches", [1.5, 2.0, True, "2", None])
     def test_non_integer_branch_count_rejected(self, n_branches):
