@@ -52,23 +52,42 @@ def _jfloat(x: float):
     return float(text) if (text := _fmt(x)) else None
 
 
-def _load_feature(path: str) -> FeatureMap:
-    """Read one MXFT file; every read error names the file."""
+def _read(path: str, parse):
+    """parse(the file at path, opened binary); a decode error, deep nesting too, names the file."""
     try:
         with open(path, "rb") as fh:
-            fm = read_tensor(fh)
-            size = os.fstat(fh.fileno()).st_size  # 0 for a pipe, which ends at its payload
-        # a dim corrupted downward would otherwise read as a smaller map
-        if (trailing := size - HEADER_SIZE - fm.data.nbytes) > 0:
-            raise ValueError(f"{trailing} bytes after the payload of header dims {fm.shape}")
-    except ValueError as exc:
+            return parse(fh)
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def _mxft(fh) -> FeatureMap:
+    fm = read_tensor(fh)
+    size = os.fstat(fh.fileno()).st_size  # 0 for a pipe, which ends at its payload
+    # a dim corrupted downward would otherwise read as a smaller map
+    if (trailing := size - HEADER_SIZE - fm.data.nbytes) > 0:
+        raise ValueError(f"{trailing} bytes after the payload of header dims {fm.shape}")
     return fm
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict; json itself would keep a repeated key's last value."""
+    if len(obj := dict(pairs)) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return obj
+
+
+def _scenario_json(fh) -> dict:
+    d = json.loads(fh.read().decode("utf-8"), object_pairs_hook=_unique_keys)
+    if not isinstance(d, dict):
+        raise ValueError(f"a scenario must be a JSON object, got {type(d).__name__}")
+    return d
 
 
 def _load_features(paths: list[str]) -> list[FeatureMap]:
     """Read MXFT files of one shape; a file of another shape is named with the first's."""
-    maps = [_load_feature(p) for p in paths]
+    maps = [_read(p, _mxft) for p in paths]
     for path, fm in zip(paths[1:], maps[1:]):
         if fm.shape != maps[0].shape:
             raise ValueError(f"{path}: shape mismatch: {fm.shape} vs {paths[0]}'s {maps[0].shape}")
@@ -150,8 +169,7 @@ def _scenario_from_args(args) -> Scenario:
     if args.scenario is None:  # argparse requires exactly one of the two
         scn = preset_scenario(args.preset)
     else:
-        with open(args.scenario, "r", encoding="utf-8") as fh:
-            scn = scenario_from_dict(json.load(fh))
+        scn = scenario_from_dict(_read(args.scenario, _scenario_json))
     delta = scn.delta if args.delta is None else args.delta
     seed = scn.seed if args.seed is None else args.seed
     return replace(scn, delta=delta, seed=seed)

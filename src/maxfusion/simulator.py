@@ -39,7 +39,8 @@ from functools import partial
 import numpy as np
 
 from .fusion import DEFAULT_DELTA, MAX_SELECT_DELTA, _merge_chain, naive_average
-from .tensor_core import FeatureMap, SelectionMask, _check_finite, _freeze, _integer, _real, _shown
+from .tensor_core import FeatureMap, SelectionMask, _check_finite, _freeze, _integer, _real
+from .tensor_core import _real_array, _shown
 
 STRATEGIES = ("maxfusion", "naive", "max_select", "single", "unconditional")
 #: Each preset branch: its mask rectangle (rows r0:r1, columns c0:c1) and constant target.
@@ -74,13 +75,13 @@ class NoiseSchedule:
     __slots__ = ("betas", "alphas", "alpha_bar")
 
     def __init__(self, betas):
-        betas = np.asarray(betas, dtype=np.float64)
+        betas = _real_array("scenario field 'schedule.betas'", betas)
         if betas.ndim != 1 or not 1 <= betas.size <= MAX_STEPS:
             raise ValueError(f"scenario field 'schedule.betas' must be a 1-D array of 1 to "
                              f"{MAX_STEPS} values, got shape {betas.shape}")
         if not ((betas > 0.0) & (betas < 1.0)).all():
             raise ValueError("scenario field 'schedule.betas' must lie strictly in (0, 1)")
-        self.betas = _freeze(betas.copy())
+        self.betas = _freeze(betas)
         self.alphas = _freeze(1.0 - betas)
         alpha_bar = np.cumprod(self.alphas)
         if betas.size > 1 and not (np.diff(alpha_bar) < 0).all():
@@ -155,9 +156,10 @@ class Branch:
     strength: float = 1.0
 
     def __post_init__(self):
-        mask = np.asarray(self.mask, dtype=np.float64)
-        target = np.asarray(self.target, dtype=np.float64)
-        emb = np.asarray(self.embedding, dtype=np.float64)
+        for key in ("mask", "target", "embedding"):  # each a new array, frozen before its checks
+            arr = _real_array(f"branch field '{key}'", getattr(self, key))
+            object.__setattr__(self, key, _freeze(arr))
+        mask, target, emb = self.mask, self.target, self.embedding
         if mask.ndim != 2:
             raise ValueError("branch field 'mask' must be a 2-D (H, W) array")
         if target.shape != mask.shape:
@@ -168,13 +170,8 @@ class Branch:
             raise ValueError("branch field 'embedding' must be a 1-D C-vector")
         if not ((mask >= 0.0) & (mask <= 1.0)).all():
             raise ValueError("branch field 'mask' must lie in [0, 1]")
-        if not np.isfinite(target).all() or not np.isfinite(emb).all():
-            raise ValueError("branch fields must be finite")
         if (strength := _real("branch field 'strength'", self.strength)) <= 0:
             raise ValueError(f"branch field 'strength' must be > 0, got {strength}")
-        object.__setattr__(self, "mask", _freeze(mask.copy()))
-        object.__setattr__(self, "target", _freeze(target.copy()))
-        object.__setattr__(self, "embedding", _freeze(emb.copy()))
         object.__setattr__(self, "strength", strength)
 
 
@@ -227,18 +224,14 @@ class Scenario:
             raise ValueError(
                 f"scenario field 'single_branch' must index a branch, got {self.single_branch}"
             )
-        readout = self.readout
-        readout = default_readout(self.channels) if readout is None else np.asarray(
-            readout, dtype=np.float64
-        )
+        readout = default_readout(self.channels) if self.readout is None else self.readout
+        readout = _real_array("scenario field 'readout'", readout)
         if readout.shape != (self.channels,):
             raise ValueError(
                 f"scenario field 'readout' length must equal scenario channels "
                 f"{self.channels}, got shape {readout.shape}"
             )
-        if not np.isfinite(readout).all():
-            raise ValueError("scenario field 'readout' must be finite")
-        object.__setattr__(self, "readout", _freeze(readout.copy()))
+        object.__setattr__(self, "readout", _freeze(readout))
         for i, br in enumerate(self.branches):
             if br.mask.shape != (self.height, self.width):
                 raise ValueError(
@@ -345,7 +338,8 @@ def branch_encode(scenario: Scenario, b: int, x0_hat: np.ndarray) -> FeatureMap:
     br = scenario.branches[b]
     signal = br.strength * br.mask * (br.target - np.asarray(x0_hat, dtype=np.float64))
     data = br.embedding[:, np.newaxis, np.newaxis] * signal[np.newaxis]
-    return FeatureMap._adopt(_check_finite(data.astype(np.float32)))  # the divergence detector
+    with np.errstate(over="ignore"):  # the finite check is the divergence detector, not a warning
+        return FeatureMap._adopt(_check_finite(data.astype(np.float32)))
 
 
 def decode_guidance(f_eff: FeatureMap, readout: np.ndarray) -> np.ndarray:
@@ -555,20 +549,8 @@ _object = partial(_typed, kind=dict, want="an object")
 _array = partial(_typed, kind=list, want="an array")
 
 
-def _has_bool(value) -> bool:
-    return isinstance(value, bool) or (isinstance(value, list) and any(map(_has_bool, value)))
-
-
-def _float_array(value, path: str) -> np.ndarray:
-    """A rectangular (nested) JSON array of finite numbers, as float64."""
-    try:
-        arr = np.array(value) if isinstance(value, list) else None
-    except ValueError:  # ragged nesting
-        arr = None
-    # numpy reads a true among numbers as 1, so a bool at any depth is rejected
-    if arr is None or arr.dtype.kind not in "iuf" or _has_bool(value) or not np.isfinite(arr).all():
-        raise _bad(path, "a rectangular array of finite numbers", value)
-    return arr.astype(np.float64)
+def _float_array(value, path: str) -> np.ndarray:  # a JSON array, then the array rule
+    return _real_array(f"scenario field '{path}'", _array(value, path))
 
 
 def _present(d: dict, prefix: str, converters: dict, required=(), nested=()) -> dict:

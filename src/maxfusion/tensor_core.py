@@ -16,10 +16,11 @@ two float maps one constructor body that differs only in rank and dtype.
 
 Values are checked where they enter or where arithmetic can overflow.
 The public constructors copy and check their input, which the caller
-may still hold and mutate.  An array the library has just allocated,
-and that nothing else references, is adopted instead: the private
-``_adopt`` freezes it in place unchecked, so its caller owes the
-container's rank, dtype and range.  MXFT reads, statistics maps and
+may still hold and mutate; float input passes ``_real_array``, the one
+rule for every float array the library takes.  An array the library has
+just allocated, and that nothing else references, is adopted instead:
+the private ``_adopt`` freezes it in place unchecked, so its caller owes
+the container's rank, dtype and range.  MXFT reads, statistics maps and
 fusion outputs adopt, so each feature byte moves once; only an MXFT
 payload and a float32 cast of float64 values are checked first.
 
@@ -62,17 +63,18 @@ class TensorFormatError(ValueError):
     """A byte stream does not parse as a valid MXFT tensor."""
 
 
-def _check_finite(arr: np.ndarray) -> np.ndarray:
+def _check_finite(arr: np.ndarray, name: str | None = None) -> np.ndarray:
     finite = np.isfinite(arr)
     if not finite.all():
-        idx = int(np.argmin(finite.ravel()))
-        raise ValueError(f"non-finite value at index {idx}")
+        fault = f"non-finite value at index {int(np.argmin(finite.ravel()))}"
+        raise ValueError(fault if name is None else f"{name} must be finite ({fault})")
     return arr
 
 
 def _shown(value) -> str:
-    """value as an error message shows it: a list or dict by its JSON kind, else its repr."""
-    return {list: "an array", dict: "an object"}.get(type(value)) or repr(value)
+    """value as an error message shows it: an array or dict by its JSON kind, else its repr."""
+    kinds = {list: "an array", np.ndarray: "an array", dict: "an object"}
+    return kinds.get(type(value)) or repr(value)
 
 
 def _integer(name: str, value) -> int:
@@ -92,6 +94,26 @@ def _real(name: str, value) -> float:
     if not math.isfinite(x):
         raise ValueError(f"{name} must be finite and real, got {_shown(value)}")
     return x
+
+
+def _has_bool(value) -> bool:
+    """A bool at any depth of nested lists and tuples, numpy bools and bool arrays included."""
+    if isinstance(value, (list, tuple)):
+        return any(map(_has_bool, value))
+    return isinstance(value, (bool, np.bool_, np.ndarray)) and np.asarray(value).dtype == np.bool_
+
+
+def _real_array(name: str, value, dtype=np.float64) -> np.ndarray:
+    """value as a new array of dtype if it is a rectangular array of finite real numbers."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting, or more dims than numpy allows
+        arr = None
+    # numpy reads a True among numbers as 1; the kind check first bounds what _has_bool walks
+    if arr is None or arr.dtype.kind not in "iuf" or _has_bool(value):
+        raise ValueError(f"{name} must be a rectangular array of real numbers, got {_shown(value)}")
+    with np.errstate(over="ignore"):  # a value past the range of dtype fails the finite check
+        return _check_finite(arr.astype(dtype), name)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -117,11 +139,9 @@ class _Frozen:
     _fields = ("data",)
 
     def __init__(self, data: np.ndarray):
-        arr = np.asarray(data)
+        arr = _real_array(f"{type(self).__name__} data", data, self._dtype)
         _check_dims(arr, self._ndim, self._what)
-        with np.errstate(over="ignore"):  # out-of-range values fail the finite check
-            cast = arr.astype(self._dtype)
-        self.data = _freeze(_check_finite(cast))
+        self.data = _freeze(arr)
 
     @classmethod
     def _adopt(cls, data: np.ndarray, *rest):
@@ -179,21 +199,20 @@ def make_feature_map(
     """Build a FeatureMap from a flat row-major (c, j, k) value sequence.
 
     The data is copied, never aliased.  Raises ValueError on a dim that
-    is not an integer >= 1, a length mismatch or any non-finite element
-    (reported by flat index).
+    is not an integer >= 1, data the array rule rejects (a non-finite
+    element is reported by flat index) or a length mismatch.
     """
     for name, n in (("channels", channels), ("height", height), ("width", width)):
         if _integer(name, n) < 1:
             raise ValueError(f"{name} must be >= 1, got {n}")
-    with np.errstate(over="ignore"):  # out-of-range values fail FeatureMap's finite check
-        flat = np.asarray(data, dtype=np.float32).ravel()
+    flat = _real_array("FeatureMap data", data, np.float32).ravel()
     expected = channels * height * width
     if flat.size != expected:
         raise ValueError(
             f"data length mismatch: expected {expected} values "
             f"({channels}*{height}*{width}), got {flat.size}"
         )
-    return FeatureMap(flat.reshape(channels, height, width))
+    return FeatureMap._adopt(flat.reshape(channels, height, width))
 
 
 class SpatialMap(_Frozen):
@@ -210,9 +229,7 @@ class SpatialMap(_Frozen):
 
     def to_feature_map(self) -> FeatureMap:
         """Reinterpret as a C=1 feature map (float32 cast) for MXFT export."""
-        with np.errstate(over="ignore"):  # out-of-range values fail the finite check
-            data = self.data[np.newaxis].astype(np.float32)
-        return FeatureMap._adopt(_check_finite(data))
+        return FeatureMap._adopt(_real_array("float32 export", self.data[np.newaxis], np.float32))
 
     def __repr__(self) -> str:
         return f"SpatialMap(H={self.height}, W={self.width})"

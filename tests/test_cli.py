@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import math
@@ -33,7 +34,9 @@ from maxfusion import (
 from maxfusion import simulator, stats
 from maxfusion.cli import main
 from maxfusion.tensor_core import HEADER_SIZE
-from scenario_json import SUBSTITUTES, blamed_key, key_paths, small_scenario_dicts, substituted
+from scenario_json import (
+    SUBSTITUTES, blamed_key, key_paths, small_scenario_dicts, structural_mutations, substituted
+)
 
 GOLDEN_CONTRADICTORY_METRICS = (
     "strategy,delta,branch,mse,averaged_fraction,seed\n"
@@ -273,6 +276,31 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert "line 2" in err and "column" in err
 
+    # files that do not decode to a scenario: (file bytes, a fragment of the error after the path)
+    UNDECODABLE = {
+        "deep_array": (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
+        "deep_mask": (
+            b'{"height": 1, "width": 1, "branches": [{"mask": ' + b"[" * 990 + b"1" + b"]" * 990
+            + b', "target": [[0]], "embedding": [1, 1]}]}',
+            "maximum recursion depth exceeded",
+        ),
+        "repeated_key": (b'{"height": 4, "width": 4, "height": 5}', "repeated key 'height'"),
+        "huge_integer": (b'{"height": 4, "width": 4, "seed": ' + b"9" * 5000 + b"}", "4300 digits"),
+        "syntax": (b'{"height": 4, "width": }', "Expecting value: line 1 column 24"),
+        "not_utf8": ('{"height": 4, "width": 4, "strategy": "caf\xe9"}'.encode("latin-1"), "utf-8"),
+        "not_an_object": (b"[4, 4]", "a scenario must be a JSON object, got list"),
+    }
+
+    @pytest.mark.parametrize("case", UNDECODABLE)
+    def test_undecodable_scenario_file_exits_2_naming_it(self, case, tmp_path, capsys):
+        raw, fragment = self.UNDECODABLE[case]
+        p = tmp_path / "scn.json"
+        p.write_bytes(raw)
+        assert main(["simulate", "--scenario", str(p), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {p}: ") and fragment in err, err
+        assert not (tmp_path / "o").exists()
+
     def test_scenario_file_with_invariant_violation_names_field(self, tmp_path, capsys):
         cfg = scenario_to_dict(preset_scenario("contradictory"))
         cfg["strategy"] = "blend"
@@ -308,6 +336,8 @@ class TestSimulateCommand:
         assert not (tmp_path / "o" / "sample.mxft").exists()
 
 
+#: a mask nested deeper than numpy's 64 dims, but not too deep to decode
+DEEP_MASK = functools.reduce(lambda value, _: [value], range(100), 1)
 BAD_SCENARIO_FIELDS = [
     # (field the error names, key path set in the preset's JSON, value, extra flags)
     ("guidance_weight", ("guidance_weight",), None, []),
@@ -324,6 +354,7 @@ BAD_SCENARIO_FIELDS = [
     ("seed", (), None, ["--seed", "-1"]),
     ("schedule.steps", ("schedule",), {"steps": 0}, []),
     ("branches[0].mask", ("branches", 0, "mask", 3, 3), True, []),
+    ("branches[0].mask", ("branches", 0, "mask"), DEEP_MASK, []),
 ]
 
 
@@ -808,3 +839,19 @@ class TestMainFuzz:
         # reported as a diverged sampler instead
         if code == 2 and not err.startswith("error: sampler diverged"):
             assert err.startswith("error: ") and blamed_key(path) in err, err
+
+    @settings(max_examples=80, deadline=None)
+    @given(mutation=structural_mutations())
+    def test_scenario_json_with_mutated_structure(self, mutation):
+        path, text, repeated = mutation
+        with tempfile.TemporaryDirectory() as td:
+            p = Path(td, "scn.json")
+            p.write_text(text, encoding="utf-8")
+            code, err = _run_main(["simulate", "--scenario", str(p), "--out", str(Path(td, "o"))])
+        assert code in (0, 2) and "Traceback" not in err, err
+        if repeated is not None:
+            assert (code, err) == (2, f"error: {p}: repeated key {repeated!r}\n")
+        elif code == 2 and not err.startswith((f"error: {p}: ", "error: sampler diverged")):
+            # what decodes is checked field by field, and each error names its field
+            named = blamed_key(path) if path else "scenario field '"
+            assert err.startswith("error: ") and named in err, err

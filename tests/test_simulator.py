@@ -3,6 +3,7 @@ import math
 import re
 import warnings
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -14,8 +15,10 @@ from scenario_json import SUBSTITUTES, blamed_key, key_paths, small_scenario_dic
 from maxfusion import (
     AVERAGED,
     Branch,
+    FeatureMap,
     NoiseSchedule,
     Scenario,
+    SpatialMap,
     analytic_score,
     branch_embedding,
     branch_encode,
@@ -23,6 +26,7 @@ from maxfusion import (
     condition_error,
     decode_guidance,
     default_readout,
+    make_feature_map,
     maxfusion_fold,
     naive_average,
     preset_scenario,
@@ -154,6 +158,12 @@ class TestBranchEncode:
         assert sigma[inside].min() > 0.0
         expected = np.abs(scn.branches[0].target - x0_hat)[inside] * 0.5  # std(w) = 0.5
         np.testing.assert_allclose(sigma[inside], expected, atol=1e-6)
+        # a violation past float32 is rejected by index, without a cast warning first, also
+        # outside sample(); the sampler's divergence message wraps this text
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^non-finite value at index \d+$"):
+                branch_encode(preset_scenario("contradictory"), 0, np.full((16, 16), -1e300))
 
 
 class TestDecodeGuidance:
@@ -232,6 +242,16 @@ class TestEmbeddings:
             )
 
 
+def _first_leaf_replaced(shape, leaf):
+    """A nested list of 0.5s of shape, its first element replaced by leaf."""
+    nested = np.full(shape, 0.5).tolist()
+    row = nested
+    for _ in shape[1:]:
+        row = row[0]
+    row[0] = leaf
+    return nested
+
+
 class TestScenarioValidation:
     def test_strategy_checked(self):
         with pytest.raises(ValueError, match="strategy"):
@@ -308,6 +328,87 @@ class TestScenarioValidation:
             assert type(getattr(scn, key)) is int
         assert sample(scn).same_outputs(sample(tiny_scenario()))
         assert NoiseSchedule.linear(steps=np.int64(10)).steps == 10
+
+    # the array rule at every site that takes a float array: (the field as its error names
+    # it, the shape it takes, a call that stores the value and returns the stored array)
+    ARRAY_FIELDS = {
+        "FeatureMap": ("FeatureMap data", (1, 2, 2), lambda v: FeatureMap(v).data),
+        "SpatialMap": ("SpatialMap data", (2, 2), lambda v: SpatialMap(v).data),
+        "make_feature_map": (
+            "FeatureMap data", (4,), lambda v: make_feature_map(1, 2, 2, v).data
+        ),
+        "mask": (
+            "branch field 'mask'", (2, 2), lambda v: Branch(v, np.zeros((2, 2)), np.ones(2)).mask
+        ),
+        "target": (
+            "branch field 'target'", (2, 2),
+            lambda v: Branch(np.ones((2, 2)), v, np.ones(2)).target,
+        ),
+        "embedding": (
+            "branch field 'embedding'", (2,),
+            lambda v: Branch(np.ones((2, 2)), np.zeros((2, 2)), v).embedding,
+        ),
+        "readout": (
+            "scenario field 'readout'", (2,),
+            lambda v: Scenario(1, 1, channels=2, readout=v).readout,
+        ),
+        "betas": ("scenario field 'schedule.betas'", (2,), lambda v: NoiseSchedule(v).betas),
+    }
+
+    # each bad value once at each site: (the value for a shape, the error's text after the name)
+    RECTANGULAR = " must be a rectangular array of real numbers, got "
+    NOT_FINITE = r" must be finite \(non-finite value at index {}\)$"
+    NOT_REAL_ARRAYS = {
+        "numeric_str": (lambda shape: np.full(shape, "0.5"), RECTANGULAR),
+        "bool_array": (lambda shape: np.ones(shape, dtype=bool), RECTANGULAR),
+        "true_in_list": (lambda shape: _first_leaf_replaced(shape, True), RECTANGULAR),
+        "huge_int": (lambda shape: _first_leaf_replaced(shape, 10**400), RECTANGULAR),
+        "complex": (lambda shape: np.full(shape, 0.5 + 0j), RECTANGULAR),
+        "ragged": (lambda shape: [[0.5], [0.5, 0.5]], RECTANGULAR),
+        "none": (lambda shape: None, RECTANGULAR),
+        "nan": (lambda shape: np.full(shape, math.nan), NOT_FINITE.format(0)),
+    }
+
+    # None asks Scenario for the default read-out
+    NOT_REAL_CASES = [c for c in product(ARRAY_FIELDS, NOT_REAL_ARRAYS) if c != ("readout", "none")]
+
+    @pytest.mark.parametrize("field, value", NOT_REAL_CASES)
+    def test_array_fields_reject_non_real_arrays(self, field, value):
+        name, shape, call = self.ARRAY_FIELDS[field]
+        make, says = self.NOT_REAL_ARRAYS[value]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no ComplexWarning or overflow warning either
+            with pytest.raises(ValueError, match=f"^{re.escape(name)}{says}"):
+                call(make(shape))
+
+    @pytest.mark.parametrize("field", ["FeatureMap", "make_feature_map"])
+    def test_float32_fields_reject_values_past_float32(self, field):
+        name, shape, call = self.ARRAY_FIELDS[field]
+        value = np.full(shape, 1.0)
+        value.flat[1] = 1e39
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{name}{self.NOT_FINITE.format(1)}"):
+                call(value)
+
+    # integers suit every range but the betas', which lie strictly inside (0, 1)
+    NUMPY_REALS = (np.int8, np.uint16, np.int64, np.float32, np.float64)
+    NUMPY_REAL_CASES = [
+        (field, dtype) for field, dtype in product(ARRAY_FIELDS, NUMPY_REALS)
+        if field != "betas" or np.issubdtype(dtype, np.floating)
+    ]
+
+    @pytest.mark.parametrize("field, dtype", NUMPY_REAL_CASES)
+    def test_array_fields_copy_numpy_reals(self, field, dtype):
+        _, shape, call = self.ARRAY_FIELDS[field]
+        value = np.full(shape, 0.25) if field == "betas" else np.arange(np.prod(shape)) % 2
+        src = np.asarray(value, dtype=dtype).reshape(shape)
+        stored = call(src)
+        assert not stored.flags.writeable
+        np.testing.assert_array_equal(stored.reshape(shape), src)
+        before = stored.copy()
+        src.flat[0] = 1  # the caller's array stays its own
+        np.testing.assert_array_equal(stored, before)
 
     def test_json_roundtrip_preserves_run_outputs(self):
         scn = preset_scenario("contradictory")
