@@ -22,7 +22,6 @@ from pathlib import Path
 from .fusion import DEFAULT_DELTA, maxfusion_fold
 from .simulator import (
     PRESET_NAMES,
-    RunReport,
     Scenario,
     preset_scenario,
     run_ablation,
@@ -34,6 +33,7 @@ from .tensor_core import (
     HEADER_SIZE,
     FeatureMap,
     SpatialMap,
+    _read_upto,
     read_tensor,
     write_pgm,
     write_selection_pgm,
@@ -41,6 +41,7 @@ from .tensor_core import (
 )
 
 CSV_HEADER = "strategy,delta,branch,mse,averaged_fraction,seed"
+MAX_SCENARIO_BYTES = 1 << 28  # a scenario file's size, checked before it is decoded
 
 
 def _fmt(x: float | None) -> str:
@@ -79,7 +80,9 @@ def _unique_keys(pairs: list) -> dict:
 
 
 def _scenario_json(fh) -> dict:
-    d = json.loads(fh.read().decode("utf-8"), object_pairs_hook=_unique_keys)
+    if len(raw := _read_upto(fh, MAX_SCENARIO_BYTES + 1)) > MAX_SCENARIO_BYTES:
+        raise ValueError(f"larger than {MAX_SCENARIO_BYTES} bytes")
+    d = json.loads(raw.decode("utf-8"), object_pairs_hook=_unique_keys)
     if not isinstance(d, dict):
         raise ValueError(f"a scenario must be a JSON object, got {type(d).__name__}")
     return d
@@ -175,17 +178,18 @@ def _scenario_from_args(args) -> Scenario:
     return replace(scn, delta=delta, seed=seed)
 
 
-def _csv_rows(label: str, rep: RunReport) -> list[str]:
-    """One CSV row per branch; the delta column is the gate the run fused at."""
-    head, frac = f"{label},{_fmt(rep.delta)}", _fmt(rep.averaged_fraction)
-    return [f"{head},{b},{_fmt(mse)},{frac},{rep.seed}" for b, mse in enumerate(rep.branch_mse)]
+def _csv_lines(runs) -> list[str]:
+    """The CSV header, then a row per branch of each (label, report); delta is the gate it used."""
+    lines = [CSV_HEADER]
+    for label, rep in runs:
+        head, frac = f"{label},{_fmt(rep.delta)}", _fmt(rep.averaged_fraction)
+        lines += [f"{head},{b},{_fmt(m)},{frac},{rep.seed}" for b, m in enumerate(rep.branch_mse)]
+    return lines
 
 
-def _write_csv(path: Path, rows: list[str]) -> None:
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for row in rows:
-            fh.write(row + "\n")
+def _write_lines(path: Path, lines: list[str]) -> None:
+    """Every text output: ASCII lines, each ended by a bare newline on every platform."""
+    path.write_text("".join(line + "\n" for line in lines), encoding="ascii", newline="")
 
 
 def cmd_simulate(args) -> int:
@@ -195,7 +199,7 @@ def cmd_simulate(args) -> int:
     final = SpatialMap(rep.final_sample)
     _write(out, "sample.mxft", write_tensor, final)
     _write(out, "sample.pgm", write_pgm, final)
-    _write_csv(out / "metrics.csv", _csv_rows(scn.strategy, rep))
+    _write_lines(out / "metrics.csv", _csv_lines([(scn.strategy, rep)]))
     trace = {
         "strategy": scn.strategy,
         "delta": _jfloat(rep.delta),
@@ -205,18 +209,9 @@ def cmd_simulate(args) -> int:
         "averaged_fraction": _jfloat(rep.averaged_fraction),
         "per_step_averaged_fraction": [_jfloat(f) for f in rep.per_step_averaged_fraction()],
     }
-    with open(out / "trace.json", "w", encoding="ascii") as fh:
-        json.dump(trace, fh)
-        fh.write("\n")
-    _print_summary(
-        {
-            "strategy": scn.strategy,
-            "seed": scn.seed,
-            "branch_mse": [_jfloat(m) for m in rep.branch_mse],
-            "averaged_fraction": _jfloat(rep.averaged_fraction),
-            "out_dir": str(out),
-        }
-    )
+    _write_lines(out / "trace.json", [json.dumps(trace)])
+    summary = {key: trace[key] for key in ("strategy", "seed", "branch_mse", "averaged_fraction")}
+    _print_summary({**summary, "out_dir": str(out)})
     return 0
 
 
@@ -243,7 +238,7 @@ def cmd_ablate(args) -> int:
     if not monotonic:
         raise RuntimeError(f"averaged fraction is not non-increasing across deltas: {ascending}")
     out = _out_dir(args)
-    _write_csv(out / "metrics.csv", [row for rep in reports for row in _csv_rows("maxfusion", rep)])
+    _write_lines(out / "metrics.csv", _csv_lines(("maxfusion", rep) for rep in reports))
     _print_summary(
         {
             "deltas": [_jfloat(rep.delta) for rep in reports],
@@ -277,13 +272,10 @@ def cmd_compare(args) -> int:
             reports["maxfusion-no-renorm"] = reports[label]
     header = ["strategy", *(f"branch {b} MSE" for b in range(n)), "averaged fraction"]
     md = [_md_row(header), "|" + "---|" * len(header)]
-    csv_rows = []
     for label, rep in reports.items():
-        csv_rows.extend(_csv_rows(label, rep))
         md.append(_md_row([label, *map(_fmt, rep.branch_mse), _fmt(rep.averaged_fraction)]))
-    _write_csv(out / "compare.csv", csv_rows)
-    with open(out / "compare.md", "w", encoding="ascii", newline="") as fh:
-        fh.write("\n".join(md) + "\n")
+    _write_lines(out / "compare.csv", _csv_lines(reports.items()))
+    _write_lines(out / "compare.md", md)
     _print_summary(
         {
             "strategies": list(reports),
@@ -372,7 +364,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -58,7 +58,7 @@ _AMPLITUDE = 0.5
 MAX_STEPS = 10_000
 MAX_GRID_SIDE = 1024
 MAX_CHANNELS = 4096
-MAX_FEATURE_VALUES = 1 << 24  # channels * height * width of one branch feature
+MAX_FEATURE_VALUES = 1 << 24  # channels * height * width times the branch count (at least 1)
 
 
 def _bad(path: str, want: str, value) -> ValueError:
@@ -206,10 +206,13 @@ class Scenario:
         for key, hi in sizes.items():
             if not 1 <= (value := getattr(self, key)) <= hi:
                 raise _bad(key, f"in [1, {hi}]", value)
-        if self.channels * self.height * self.width > MAX_FEATURE_VALUES:
+        object.__setattr__(self, "branches", tuple(self.branches))
+        n = max(1, len(self.branches))  # sample() holds every branch's feature at once
+        if n * self.channels * self.height * self.width > MAX_FEATURE_VALUES:
             raise ValueError(
-                f"scenario fields 'channels' * 'height' * 'width' must be <= "
-                f"{MAX_FEATURE_VALUES}, got {self.channels} * {self.height} * {self.width}"
+                f"scenario fields 'channels' * 'height' * 'width' * 'branches' (at least 1) "
+                f"must be <= {MAX_FEATURE_VALUES}, "
+                f"got {self.channels} * {self.height} * {self.width} * {n}"
             )
         for key in ("guidance_weight", "prior_mean", "prior_std"):
             object.__setattr__(self, key, _real(f"scenario field '{key}'", getattr(self, key)))
@@ -219,7 +222,6 @@ class Scenario:
                 raise _bad(key, ">= 0", value)
         if self.strategy not in STRATEGIES:
             raise _bad("strategy", f"one of {STRATEGIES}", self.strategy)
-        object.__setattr__(self, "branches", tuple(self.branches))
         if self.strategy == "single" and self.single_branch >= len(self.branches):
             raise ValueError(
                 f"scenario field 'single_branch' must index a branch, got {self.single_branch}"

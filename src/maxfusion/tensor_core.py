@@ -56,7 +56,7 @@ MXFT_VERSION = 1
 MXFT_DTYPE_F32 = 0
 _HEADER = struct.Struct("<4sIIIIII")  # magic, version, dtype, ndim, C, H, W
 HEADER_SIZE = _HEADER.size  # 28
-_READ_CHUNK = 1 << 20  # bytes per read from a stream that cannot seek
+_READ_CHUNK = 1 << 20  # bytes per read from a stream that cannot say how much it holds
 
 
 class TensorFormatError(ValueError):
@@ -306,11 +306,12 @@ def read_tensor(source: BinaryIO) -> FeatureMap:
 
     Raises TensorFormatError on bad magic, unsupported version or dtype,
     a dims/payload size mismatch, and ValueError on non-finite payload
-    values.  Header dims are checked against the bytes the stream holds
-    before a payload buffer is allocated, so an oversized header fails
-    as a truncated payload instead of exhausting memory.
+    values.  Header and payload are read through ``_read_upto``, which
+    tolerates short reads and allocates no more than the stream holds, so
+    an oversized header fails as a truncated payload instead of
+    exhausting memory.
     """
-    header = source.read(HEADER_SIZE)
+    header = _read_upto(source, HEADER_SIZE)
     if len(header) < HEADER_SIZE:
         raise TensorFormatError(
             f"truncated header: expected {HEADER_SIZE} bytes, got {len(header)}"
@@ -326,41 +327,32 @@ def read_tensor(source: BinaryIO) -> FeatureMap:
         raise TensorFormatError(f"unsupported ndim {ndim} (supported: 3)")
     if min(c, h, w) < 1:
         raise TensorFormatError(f"invalid dims ({c}, {h}, {w}): all must be >= 1")
-    return FeatureMap._adopt(_check_finite(_read_payload(source, c, h, w)))
-
-
-def _read_payload(source: BinaryIO, c: int, h: int, w: int) -> np.ndarray:
-    """The (c, h, w) '<f4' payload as native float32, allocating no more than the stream holds.
-
-    A header may claim any size, so a seekable stream is checked against
-    its remaining length first and, when that suffices, read straight
-    into a preallocated array; any other stream is read in bounded
-    chunks until EOF.
-    """
-    nbytes = 4 * c * h * w
-    if source.seekable():
-        here = source.tell()
-        got = source.seek(0, io.SEEK_END) - here  # all the stream holds
-        source.seek(here)
-        if got >= nbytes:
-            arr = np.empty((c, h, w), dtype="<f4")
-            view = memoryview(arr.reshape(-1).view(np.uint8))
-            got = 0
-            while got < nbytes and (n := source.readinto(view[got:])):
-                got += n
-    else:
-        chunks = []
-        got = 0
-        while got < nbytes and (chunk := source.read(min(nbytes - got, _READ_CHUNK))):
-            chunks.append(chunk)
-            got += len(chunk)
-        arr = np.frombuffer(b"".join(chunks), dtype="<f4")
-    if got < nbytes:
+    payload = _read_upto(source, nbytes := 4 * c * h * w)
+    if len(payload) < nbytes:
         raise TensorFormatError(
             f"truncated payload for dims ({c}, {h}, {w}): "
-            f"expected {nbytes} bytes, got {got}"
+            f"expected {nbytes} bytes, got {len(payload)}"
         )
-    return arr.reshape(c, h, w).astype(np.float32, copy=False)
+    data = np.frombuffer(payload, "<f4").reshape(c, h, w).astype(np.float32, copy=False)
+    return FeatureMap._adopt(_check_finite(data))
+
+
+def _read_upto(source: BinaryIO, n: int) -> bytes:
+    """The next n bytes of source, fewer only at EOF; a short read is followed by another.
+
+    A seekable stream is read in one call of all it holds up to n, any other in
+    _READ_CHUNK pieces, so a size claimed by a header allocates only what arrives.
+    """
+    step = _READ_CHUNK
+    if source.seekable():
+        here = source.tell()
+        step = max(step, min(n, source.seek(0, io.SEEK_END) - here))
+        source.seek(here)
+    parts, got = [], 0
+    while got < n and (part := source.read(min(n - got, step))):
+        parts.append(part)
+        got += len(part)
+    return b"".join(parts)  # one part is returned as is, not copied
 
 
 def read_spatial_map(source: BinaryIO) -> SpatialMap:

@@ -31,7 +31,7 @@ from maxfusion import (
     scenario_to_dict,
     write_tensor,
 )
-from maxfusion import simulator, stats
+from maxfusion import cli, simulator, stats
 from maxfusion.cli import main
 from maxfusion.tensor_core import HEADER_SIZE
 from scenario_json import (
@@ -301,6 +301,46 @@ class TestSimulateCommand:
         assert err.startswith(f"error: {p}: ") and fragment in err, err
         assert not (tmp_path / "o").exists()
 
+    @staticmethod
+    def _padded_scenario(path, size):
+        """A valid one-branch scenario file, padded with spaces to size bytes."""
+        br = Branch(np.ones((2, 2)), np.ones((2, 2)), branch_embedding(4, 0))
+        scn = Scenario(2, 2, 4, schedule=NoiseSchedule.linear(steps=3), branches=[br])
+        text = json.dumps(scenario_to_dict(scn))
+        path.write_text(text + " " * (size - len(text)), encoding="ascii")
+        return path
+
+    @pytest.mark.parametrize("case", ["dev_zero", "one_byte_over"])
+    def test_scenario_file_over_the_byte_bound_exits_2_naming_it(
+        self, case, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "MAX_SCENARIO_BYTES", 4096)
+        if case == "dev_zero":
+            if not Path("/dev/zero").exists():
+                pytest.skip("no /dev/zero")
+            p = "/dev/zero"
+        else:
+            p = self._padded_scenario(tmp_path / "scn.json", 4097)
+        assert main(["simulate", "--scenario", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {p}: larger than 4096 bytes\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_scenario_file_at_the_byte_bound_runs(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SCENARIO_BYTES", 4096)
+        p = self._padded_scenario(tmp_path / "scn.json", 4096)
+        assert p.stat().st_size == 4096
+        assert main(["simulate", "--scenario", str(p), "--out", str(tmp_path / "o")]) == 0
+        assert json.loads(capsys.readouterr().out)["strategy"] == "maxfusion"
+        assert (tmp_path / "o" / "metrics.csv").exists()
+
+    def test_internal_error_names_its_exception_type(self, tmp_path, capsys, monkeypatch):
+        def out_of_memory(scn):  # a MemoryError has empty text
+            raise MemoryError
+
+        monkeypatch.setattr("maxfusion.cli.sample", out_of_memory)
+        assert main(["simulate", "--preset", "contradictory", "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "internal error: MemoryError: \n"
+
     def test_scenario_file_with_invariant_violation_names_field(self, tmp_path, capsys):
         cfg = scenario_to_dict(preset_scenario("contradictory"))
         cfg["strategy"] = "blend"
@@ -414,13 +454,30 @@ def _scenario_over_bound(field):
         d["channels"] = simulator.MAX_CHANNELS + 1
     elif field in ("height", "width"):
         d[field] = simulator.MAX_GRID_SIDE + 1
+    elif field == "branches":  # one branch's feature at the bound, so two are over it
+        side, channels = _FEATURE_AT_THE_BOUND
+        d.update(height=side, width=side, channels=channels)
+        grid = [[0.0] * side] * side
+        d["branches"] = [{"mask": grid, "target": grid, "embedding": [1.0] * channels}] * 2
     else:  # every side within bounds, their product just over
         d["height"] = d["width"] = simulator.MAX_GRID_SIDE
         d["channels"] = simulator.MAX_FEATURE_VALUES // simulator.MAX_GRID_SIDE**2 + 1
     return d
 
 
-BOUNDED_FIELDS = ("schedule.steps", "schedule.betas", "channels", "height", "width", "product")
+#: grid side and channel count of a branch feature of exactly MAX_FEATURE_VALUES values
+_FEATURE_AT_THE_BOUND = (64, simulator.MAX_FEATURE_VALUES // 64**2)
+
+
+def _two_branches_at_the_feature_bound() -> Scenario:
+    side, channels = _FEATURE_AT_THE_BOUND
+    br = Branch(np.zeros((side, side)), np.zeros((side, side)), np.ones(channels))
+    return Scenario(height=side, width=side, channels=channels, branches=[br, br])
+
+
+BOUNDED_FIELDS = (
+    "schedule.steps", "schedule.betas", "channels", "height", "width", "product", "branches"
+)
 # the same bounds through the Python API: (what the error names, a call one past a bound)
 PYTHON_OVER_BOUND = {
     "steps": ("'schedule.steps'", lambda: NoiseSchedule.linear(steps=simulator.MAX_STEPS + 1)),
@@ -435,6 +492,8 @@ PYTHON_OVER_BOUND = {
         "'channels' * 'height' * 'width'",
         lambda: Scenario(height=np.int32(1024), width=np.int32(1024), channels=np.int32(4096)),
     ),
+    # sample() holds every branch's feature at once
+    "branches": ("'branches'", _two_branches_at_the_feature_bound),
     "single_branch": (
         "'single_branch'",
         lambda: replace(preset_scenario("contradictory"), single_branch=-1),

@@ -25,16 +25,30 @@ from maxfusion.tensor_core import (
 
 
 class _Pipe(io.RawIOBase):
-    """A readable stream that cannot seek, like a pipe."""
+    """A readable stream that cannot seek, like a pipe.
 
-    def __init__(self, raw):
+    Given ``most``, each read returns at most that many bytes, as an
+    unbuffered pipe does when its writer sent the data in pieces; given
+    ``seekable`` too, it seeks like a file that delivers short reads.
+    """
+
+    def __init__(self, raw, most=None, seekable=False):
         self._src = io.BytesIO(raw)
+        self._most, self._seekable = most, seekable
 
     def readable(self):
         return True
 
+    def seekable(self):
+        return self._seekable
+
+    def seek(self, offset, whence=io.SEEK_SET):
+        if not self._seekable:
+            raise io.UnsupportedOperation("seek")
+        return self._src.seek(offset, whence)
+
     def readinto(self, b):
-        return self._src.readinto(b)
+        return self._src.readinto(memoryview(b)[: self._most])
 
 
 def roundtrip(fm: FeatureMap) -> FeatureMap:
@@ -296,12 +310,14 @@ def _stream(kind, raw, tmp_path):
         return io.BytesIO(raw)
     if kind == "pipe":
         return io.BufferedReader(_Pipe(raw))
+    if kind in ("short_reads", "short_reads_seekable"):  # raw, so every short read shows
+        return _Pipe(raw, most=10, seekable=kind == "short_reads_seekable")
     path = tmp_path / "t.mxft"
     path.write_bytes(raw)
     return open(path, "rb")
 
 
-STREAM_KINDS = ("bytesio", "file", "pipe")
+STREAM_KINDS = ("bytesio", "file", "pipe", "short_reads", "short_reads_seekable")
 
 
 def _codes(shape) -> np.ndarray:
@@ -406,6 +422,22 @@ class TestZeroCopyIO:
             ):
                 read_tensor(stream)
 
+    @pytest.mark.parametrize("kind", STREAM_KINDS)
+    def test_truncated_header_message_on_every_stream(self, kind, tmp_path):
+        with _stream(kind, b"MXFT\x01", tmp_path) as stream:
+            with pytest.raises(TensorFormatError, match="truncated header: expected 28 bytes, got 5"):
+                read_tensor(stream)
+
+    @pytest.mark.parametrize("kind", STREAM_KINDS)
+    def test_back_to_back_tensors_read_in_order_on_every_stream(self, kind, tmp_path):
+        first, second = make_feature_map(2, 1, 2, [1.0, 2.0, 3.0, 4.0]), FeatureMap([[[5.0]]])
+        buf = io.BytesIO()
+        write_tensor(first, buf)
+        write_tensor(second, buf)
+        with _stream(kind, buf.getvalue(), tmp_path) as stream:
+            assert read_tensor(stream) == first
+            assert read_tensor(stream) == second
+
     def test_oversized_header_on_a_real_file(self, tmp_path):
         header = struct.pack("<4sIIIIII", b"MXFT", 1, 0, 3, 65535, 65535, 65535)
         with _stream("file", header + bytes(8), tmp_path) as stream:
@@ -472,3 +504,23 @@ class TestReadFuzz:
                 continue
             assert isinstance(fm, FeatureMap)  # trailing bytes are left unread
             assert fm.data.tobytes() == raw[HEADER_SIZE : HEADER_SIZE + fm.data.nbytes]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        edits=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)), max_size=4),
+        keep=st.none() | st.integers(0, 10**6),
+    )
+    def test_every_stream_reads_a_mutated_file_alike(self, edits, keep):
+        buf = io.BytesIO()
+        write_tensor(make_feature_map(2, 3, 2, np.arange(12.0) - 5.5), buf)
+        raw = bytearray(buf.getvalue())
+        for at, byte in edits:
+            raw[at % len(raw)] = byte
+        raw = bytes(raw if keep is None else raw[: keep % len(raw)])
+        outcomes = set()
+        for kind in ("bytesio", "pipe", "short_reads", "short_reads_seekable"):
+            try:
+                outcomes.add(read_tensor(_stream(kind, raw, None)).data.tobytes())
+            except ValueError as exc:
+                outcomes.add(str(exc))
+        assert len(outcomes) == 1, outcomes
