@@ -25,18 +25,26 @@ cast to float64 once (about 1 MiB per block, the height derived from C
 and W) and every statistic of that block is taken from the cast.  A
 block never holds a single location unless the whole map does, because
 numpy would then reduce that location pairwise instead of sequentially.
-The blocked results are therefore bit-identical to whole-array ones.
-sigma_hat needs the global spatial sum, so it is derived from the
-assembled sigma map after the blocks.
+``_each_block`` runs the blocks on up to ``_WORKERS`` threads (the CPUs
+the process may use), each writing only its own rows.  Block bounds and
+per-block arithmetic do not depend on the thread count, so the results
+are bit-identical to whole-array ones on any number of CPUs.  sigma_hat
+needs the global spatial sum, so it is derived from the assembled sigma
+map after the blocks.
 """
 
 from __future__ import annotations
+
+import contextvars
+import os
+import threading
 
 import numpy as np
 
 from .tensor_core import FeatureMap, SpatialMap
 
 _BLOCK_BYTES = 1 << 20
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 #: Channel-vector norms and sigma spatial sums below this are zero signal.
 EPSILON_NORM = 1e-12
@@ -49,6 +57,39 @@ def _row_blocks(c: int, h: int, w: int) -> list[slice]:
     if len(starts) > 1 and (h - starts[-1]) * w == 1:
         starts.pop()  # fold a one-location tail block into its neighbour
     return [slice(j, k) for j, k in zip(starts, starts[1:] + [h])]
+
+
+def _each_block(fn, shape: tuple[int, int, int]) -> None:
+    """Call fn(rows) for each slice of _row_blocks(*shape), on up to _WORKERS threads.
+
+    The caller works too, and helpers take blocks from its iterator in copies of its
+    context, so np.errstate holds.  The first exception is re-raised after all join.
+    """
+    blocks = _row_blocks(*shape)
+    todo, lock, errors = iter(blocks), threading.Lock(), []
+
+    def work():
+        try:
+            while not errors:
+                with lock:
+                    rows = next(todo, None)
+                if rows is None:
+                    return
+                fn(rows)
+        except BaseException as exc:  # the caller re-raises it
+            errors.append(exc)
+
+    helpers = [
+        threading.Thread(target=contextvars.copy_context().run, args=(work,))
+        for _ in range(min(_WORKERS, len(blocks)) - 1)
+    ]
+    for t in helpers:
+        t.start()
+    work()
+    for t in helpers:
+        t.join()
+    if errors:
+        raise errors[0]
 
 
 def _sumprod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -93,8 +134,7 @@ def _normalize(sigma: np.ndarray) -> np.ndarray:
 
 def _std_map(x: np.ndarray) -> np.ndarray:
     sigma = np.empty(x.shape[1:])
-    for rows in _row_blocks(*x.shape):
-        sigma[rows] = _std(x[:, rows].astype(np.float64))
+    _each_block(lambda rows: np.copyto(sigma[rows], _std(x[:, rows].astype(np.float64))), x.shape)
     return sigma
 
 
@@ -106,7 +146,8 @@ def _pair_pass(x1: np.ndarray, x2: np.ndarray):
     """
     rho, sigma1, sigma2 = np.empty((3,) + x1.shape[1:])
     mean = np.empty(x1.shape, dtype=np.float32)
-    for rows in _row_blocks(*x1.shape):
+
+    def block(rows):
         a = x1[:, rows].astype(np.float64)
         b = x2[:, rows].astype(np.float64)
         rho[rows] = _cosine(a, b)
@@ -115,6 +156,8 @@ def _pair_pass(x1: np.ndarray, x2: np.ndarray):
         # a * 0.5 and a / 2 are the same real number, so they round alike; cast last
         np.multiply(np.add(a, b, out=a), 0.5, out=a)
         mean[:, rows] = a
+
+    _each_block(block, x1.shape)
     return rho, sigma1, sigma2, mean
 
 
@@ -148,8 +191,11 @@ def correlation_map(f1: FeatureMap, f2: FeatureMap) -> SpatialMap:
     if f1.shape != f2.shape:
         raise ValueError(f"shape mismatch: {f1.shape} vs {f2.shape}")
     rho = np.empty(f1.shape[1:])
-    for rows in _row_blocks(*f1.shape):
+
+    def block(rows):
         a = f1.data[:, rows].astype(np.float64)
         b = f2.data[:, rows].astype(np.float64)
         rho[rows] = _cosine(a, b)
+
+    _each_block(block, f1.shape)
     return SpatialMap._adopt(rho)

@@ -337,22 +337,25 @@ def read_tensor(source: BinaryIO) -> FeatureMap:
     return FeatureMap._adopt(_check_finite(data))
 
 
-def _read_upto(source: BinaryIO, n: int) -> bytes:
+def _read_upto(source: BinaryIO, n: int) -> bytes | bytearray:
     """The next n bytes of source, fewer only at EOF; a short read is followed by another.
 
     A seekable stream is read in one call of all it holds up to n, any other in
     _READ_CHUNK pieces, so a size claimed by a header allocates only what arrives.
+    What one read returns is returned as is; later reads grow one bytearray, so a
+    payload read from a pipe is never held twice.
     """
     step = _READ_CHUNK
     if source.seekable():
         here = source.tell()
         step = max(step, min(n, source.seek(0, io.SEEK_END) - here))
         source.seek(here)
-    parts, got = [], 0
-    while got < n and (part := source.read(min(n - got, step))):
-        parts.append(part)
-        got += len(part)
-    return b"".join(parts)  # one part is returned as is, not copied
+    data = source.read(min(n, step))
+    while len(data) < n and (part := source.read(min(n - len(data), step))):
+        if isinstance(data, bytes):
+            data = bytearray(data)
+        data += part
+    return data
 
 
 def read_spatial_map(source: BinaryIO) -> SpatialMap:

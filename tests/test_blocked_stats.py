@@ -6,9 +6,13 @@ byte for byte (so a -0.0 where the reference has 0.0 fails), not merely
 be close.  Small shapes are split into many blocks by shrinking the
 block budget, so every edge of the blocking (a short tail block, a
 one-row tail at W = 1, a single block) is reached without MB-sized
-inputs.
+inputs.  The blocks of one map run on up to ``stats._WORKERS`` threads;
+``TestBlockRunner`` sets that count, so the threaded path is checked on
+a one-CPU host too.
 """
 
+import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -25,7 +29,7 @@ from maxfusion import (
     normalized_std_map,
     unmerge_pair,
 )
-from maxfusion import stats
+from maxfusion import preset_scenario, sample, stats
 
 EPS = 1e-12
 DELTAS = (-1.0, 0.0, 0.5, 0.7, 1.0, 2.0)
@@ -255,3 +259,114 @@ class TestFusionBitIdentical:
         bad = type(res)(res.f_eff, res.selection, res.rho, res.sigma_hat, other.sigma)
         with pytest.raises(ValueError, match="sigma shape mismatch"):
             unmerge_pair(f1, f2, bad)
+
+
+# -- the block runner ---------------------------------------------------------
+
+# the ladder sites whose maps span several 1 MiB blocks (11, 6 and 3)
+LADDER_SHAPES = [(320, 64, 64), (640, 32, 32), (1280, 16, 16)]
+
+
+def ref_mean(x1, x2):
+    return ((x1.astype(np.float64) + x2.astype(np.float64)) / 2.0).astype(np.float32)
+
+
+def assert_pair_pass_bit_identical(x1, x2):
+    rho, sigma1, sigma2, mean = stats._pair_pass(x1, x2)
+    assert same_bytes(rho, ref_rho(x1, x2))
+    assert same_bytes(sigma1, ref_sigma(x1))
+    assert same_bytes(sigma2, ref_sigma(x2))
+    assert same_bytes(mean, ref_mean(x1, x2))
+
+
+def helper_and_caller(caller_block, helper_block):
+    """A block body that runs caller_block on the calling thread, helper_block elsewhere.
+
+    The caller's first block waits until a helper has begun one, so a helper
+    always takes part however fast the caller is.
+    """
+    caller, started = threading.current_thread(), threading.Event()
+
+    def fn(rows):
+        if threading.current_thread() is caller:
+            assert started.wait(10)
+            caller_block(rows)
+        else:
+            started.set()
+            helper_block(rows)
+
+    return fn
+
+
+def n_workers(n):
+    """Run each map's blocks on up to n threads, whatever this host's CPU count."""
+    return mock.patch.object(stats, "_WORKERS", n)
+
+
+class TestBlockRunner:
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("shape", LADDER_SHAPES)
+    def test_ladder_shapes_bit_identical(self, shape, workers):
+        assert len(stats._row_blocks(*shape)) >= workers
+        x1, x2 = branch_pair(8, shape, 0.0)
+        with n_workers(workers):
+            assert_maps_bit_identical(x1, x2)
+            assert_pair_pass_bit_identical(x1, x2)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**31), shape=shapes, rows=st.integers(1, 4), offset=offsets)
+    def test_small_shapes_in_many_blocks_bit_identical(self, workers, seed, shape, rows, offset):
+        x1, x2 = branch_pair(seed, shape, offset)
+        with small_blocks(shape, rows), n_workers(workers):
+            assert_maps_bit_identical(x1, x2)
+            assert_pair_pass_bit_identical(x1, x2)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_every_block_runs_once(self, workers):
+        done = []
+        with small_blocks((1, 40, 2), 2), n_workers(workers):
+            stats._each_block(done.append, (1, 40, 2))
+            blocks = stats._row_blocks(1, 40, 2)
+        assert sorted(done, key=lambda rows: rows.start) == blocks
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("raiser", ["helper", "caller"])
+    def test_exception_reaches_the_caller_after_every_helper_joined(self, workers, raiser):
+        def fail(rows):
+            raise KeyError(rows.start)
+
+        def linger(rows):
+            time.sleep(0.2)  # still running when the other thread fails
+
+        def fail_late(rows):
+            linger(rows)
+            fail(rows)
+
+        blocks = {"caller": (fail, linger), "helper": (lambda rows: None, fail_late)}
+        fn = helper_and_caller(*blocks[raiser])
+        before = set(threading.enumerate())
+        with small_blocks((1, 40, 2), 2), n_workers(workers), pytest.raises(KeyError):
+            stats._each_block(fn, (1, 40, 2))
+        assert set(threading.enumerate()) == before
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_helpers_see_the_callers_errstate(self, workers):
+        seen = []
+        fn = helper_and_caller(lambda rows: None, lambda rows: seen.append(np.geterr()["over"]))
+        with small_blocks((1, 40, 2), 2), n_workers(workers), np.errstate(over="raise"):
+            stats._each_block(fn, (1, 40, 2))
+        assert seen and set(seen) == {"raise"}
+
+    def test_one_block_maps_start_no_thread(self, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a one-block map started a thread")
+
+        monkeypatch.setattr(stats, "_WORKERS", 3)
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        x1, x2 = branch_pair(9, (1280, 8, 8), 0.0)
+        assert len(stats._row_blocks(*x1.shape)) == 1
+        assert_maps_bit_identical(x1, x2)
+        f1, f2 = (FeatureMap(x) for x in branch_pair(10, (8, 16, 16), 0.0))
+        merge_pair(f1, f2)
+        sample(preset_scenario("three_way"))
