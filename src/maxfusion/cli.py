@@ -64,10 +64,12 @@ def _read(path: str, parse):
 
 def _mxft(fh) -> FeatureMap:
     fm = read_tensor(fh)
-    size = os.fstat(fh.fileno()).st_size  # 0 for a pipe, which ends at its payload
     # a dim corrupted downward would otherwise read as a smaller map
-    if (trailing := size - HEADER_SIZE - fm.data.nbytes) > 0:
-        raise ValueError(f"{trailing} bytes after the payload of header dims {fm.shape}")
+    if fh.seekable():
+        if (trailing := os.fstat(fh.fileno()).st_size - HEADER_SIZE - fm.data.nbytes) > 0:
+            raise ValueError(f"{trailing} bytes after the payload of header dims {fm.shape}")
+    elif fh.read(1):  # a pipe may never end, so it is read one byte past the payload, not counted
+        raise ValueError(f"bytes after the payload of header dims {fm.shape}")
     return fm
 
 

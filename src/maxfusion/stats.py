@@ -20,17 +20,17 @@ platform.  Sums of products (dot products, squared norms, squared
 deviations) go through ``einsum``, which accumulates in that same order
 without materialising the product array.
 
-The maps are computed over spatial row blocks: each block of rows is
-cast to float64 once (about 1 MiB per block, the height derived from C
-and W) and every statistic of that block is taken from the cast.  A
-block never holds a single location unless the whole map does, because
-numpy would then reduce that location pairwise instead of sequentially.
-``_each_block`` runs the blocks on up to ``_WORKERS`` threads (the CPUs
-the process may use), each writing only its own rows.  Block bounds and
-per-block arithmetic do not depend on the thread count, so the results
-are bit-identical to whole-array ones on any number of CPUs.  sigma_hat
-needs the global spatial sum, so it is derived from the assembled sigma
-map after the blocks.
+The maps are computed over spatial row blocks: ``_each_block`` casts
+each block of rows to float64 once (about 1 MiB per block, the height
+derived from C and W), and a block body takes every statistic of that
+block from the casts.  A block never holds a single location unless the
+whole map does, because numpy would then reduce that location pairwise
+instead of sequentially.  The blocks run on up to ``_WORKERS`` threads
+(the CPUs the process may use), each writing only its own rows.  Block
+bounds and per-block arithmetic do not depend on the thread count, so
+the results are bit-identical to whole-array ones on any number of
+CPUs.  sigma_hat needs the global spatial sum, so it is derived from the
+assembled sigma map after the blocks.
 """
 
 from __future__ import annotations
@@ -59,13 +59,14 @@ def _row_blocks(c: int, h: int, w: int) -> list[slice]:
     return [slice(j, k) for j, k in zip(starts, starts[1:] + [h])]
 
 
-def _each_block(fn, shape: tuple[int, int, int]) -> None:
-    """Call fn(rows) for each slice of _row_blocks(*shape), on up to _WORKERS threads.
+def _each_block(fn, *xs: np.ndarray) -> None:
+    """Call fn(rows, *casts) for each slice of _row_blocks(*xs[0].shape) on up to _WORKERS threads.
 
-    The caller works too, and helpers take blocks from its iterator in copies of its
-    context, so np.errstate holds.  The first exception is re-raised after all join.
+    casts holds a new float64 copy of x[:, rows] for each x, which fn may overwrite.  The
+    caller works too, and helpers take blocks from its iterator in copies of its context,
+    so np.errstate holds.  The first exception is re-raised after all join.
     """
-    blocks = _row_blocks(*shape)
+    blocks = _row_blocks(*xs[0].shape)
     todo, lock, errors = iter(blocks), threading.Lock(), []
 
     def work():
@@ -75,7 +76,7 @@ def _each_block(fn, shape: tuple[int, int, int]) -> None:
                     rows = next(todo, None)
                 if rows is None:
                     return
-                fn(rows)
+                fn(rows, *(x[:, rows].astype(np.float64) for x in xs))
         except BaseException as exc:  # the caller re-raises it
             errors.append(exc)
 
@@ -134,7 +135,7 @@ def _normalize(sigma: np.ndarray) -> np.ndarray:
 
 def _std_map(x: np.ndarray) -> np.ndarray:
     sigma = np.empty(x.shape[1:])
-    _each_block(lambda rows: np.copyto(sigma[rows], _std(x[:, rows].astype(np.float64))), x.shape)
+    _each_block(lambda rows, a: np.copyto(sigma[rows], _std(a)), x)
     return sigma
 
 
@@ -147,9 +148,7 @@ def _pair_pass(x1: np.ndarray, x2: np.ndarray):
     rho, sigma1, sigma2 = np.empty((3,) + x1.shape[1:])
     mean = np.empty(x1.shape, dtype=np.float32)
 
-    def block(rows):
-        a = x1[:, rows].astype(np.float64)
-        b = x2[:, rows].astype(np.float64)
+    def block(rows, a, b):
         rho[rows] = _cosine(a, b)
         sigma1[rows] = _std(a)
         sigma2[rows] = _std(b)
@@ -157,7 +156,7 @@ def _pair_pass(x1: np.ndarray, x2: np.ndarray):
         np.multiply(np.add(a, b, out=a), 0.5, out=a)
         mean[:, rows] = a
 
-    _each_block(block, x1.shape)
+    _each_block(block, x1, x2)
     return rho, sigma1, sigma2, mean
 
 
@@ -191,11 +190,5 @@ def correlation_map(f1: FeatureMap, f2: FeatureMap) -> SpatialMap:
     if f1.shape != f2.shape:
         raise ValueError(f"shape mismatch: {f1.shape} vs {f2.shape}")
     rho = np.empty(f1.shape[1:])
-
-    def block(rows):
-        a = f1.data[:, rows].astype(np.float64)
-        b = f2.data[:, rows].astype(np.float64)
-        rho[rows] = _cosine(a, b)
-
-    _each_block(block, f1.shape)
+    _each_block(lambda rows, a, b: np.copyto(rho[rows], _cosine(a, b)), f1.data, f2.data)
     return SpatialMap._adopt(rho)

@@ -251,8 +251,8 @@ class SelectionMask(_Frozen):
     def __init__(self, codes: np.ndarray, n_branches: int):
         arr = np.asarray(codes)
         _check_dims(arr, 2, "an (H, W) code")
-        if (n_branches := _integer("n_branches", n_branches)) < 1:
-            raise ValueError(f"n_branches must be >= 1, got {n_branches}")
+        if not 1 <= (n_branches := _integer("n_branches", n_branches)) <= 2**31:
+            raise ValueError(f"n_branches must be in [1, 2**31] for int32 codes, got {n_branches}")
         if arr.dtype.kind not in "iu":  # checked before the int32 cast, which would wrap
             raise ValueError(f"selection codes must be integers, got dtype {arr.dtype}")
         if arr.min() < AVERAGED or arr.max() >= n_branches:
@@ -380,9 +380,8 @@ def write_pgm(sm: SpatialMap, sink: BinaryIO) -> int:
 
 
 def write_selection_pgm(mask: SelectionMask, sink: BinaryIO) -> int:
-    """Render a selection mask as PGM: averaged = 0, winner b = 64 + 64*b, clipped."""
-    codes = mask.codes
-    gray = np.where(codes == AVERAGED, 0, np.minimum(64 + 64 * codes, 255))
+    """Render a selection mask as PGM: averaged = 0, winner b = 64 + 64*b, clipped at 255."""
+    gray = np.minimum(64 * (np.minimum(mask.codes, 3) + 1), 255)  # codes clipped before they scale
     return _write_pgm_bytes(gray.astype(np.uint8), sink)
 
 

@@ -287,7 +287,7 @@ def helper_and_caller(caller_block, helper_block):
     """
     caller, started = threading.current_thread(), threading.Event()
 
-    def fn(rows):
+    def fn(rows, *casts):
         if threading.current_thread() is caller:
             assert started.wait(10)
             caller_block(rows)
@@ -326,9 +326,24 @@ class TestBlockRunner:
     def test_every_block_runs_once(self, workers):
         done = []
         with small_blocks((1, 40, 2), 2), n_workers(workers):
-            stats._each_block(done.append, (1, 40, 2))
+            stats._each_block(lambda rows, a: done.append(rows), np.zeros((1, 40, 2), np.float32))
             blocks = stats._row_blocks(1, 40, 2)
         assert sorted(done, key=lambda rows: rows.start) == blocks
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_a_block_may_write_its_casts(self, workers):
+        x = np.arange(80.0).reshape(1, 40, 2)
+        before, x32, seen = x.copy(), x.astype(np.float32), []
+
+        def fn(rows, a, b):
+            seen.append(same_bytes(a, x[:, rows]) and same_bytes(b, x[:, rows]))
+            a.fill(-1.0)
+            b.fill(-1.0)
+
+        with small_blocks(x.shape, 2), n_workers(workers):
+            stats._each_block(fn, x, x32)
+        assert len(seen) == 20 and all(seen)
+        assert same_bytes(x, before) and same_bytes(x32, before.astype(np.float32))
 
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize("raiser", ["helper", "caller"])
@@ -347,7 +362,7 @@ class TestBlockRunner:
         fn = helper_and_caller(*blocks[raiser])
         before = set(threading.enumerate())
         with small_blocks((1, 40, 2), 2), n_workers(workers), pytest.raises(KeyError):
-            stats._each_block(fn, (1, 40, 2))
+            stats._each_block(fn, np.zeros((1, 40, 2), np.float32))
         assert set(threading.enumerate()) == before
 
     @pytest.mark.parametrize("workers", [2, 3])
@@ -355,7 +370,7 @@ class TestBlockRunner:
         seen = []
         fn = helper_and_caller(lambda rows: None, lambda rows: seen.append(np.geterr()["over"]))
         with small_blocks((1, 40, 2), 2), n_workers(workers), np.errstate(over="raise"):
-            stats._each_block(fn, (1, 40, 2))
+            stats._each_block(fn, np.zeros((1, 40, 2), np.float32))
         assert seen and set(seen) == {"raise"}
 
     def test_one_block_maps_start_no_thread(self, monkeypatch):

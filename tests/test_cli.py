@@ -3,6 +3,7 @@ import functools
 import io
 import json
 import math
+import os
 import re
 import string
 import struct
@@ -67,6 +68,22 @@ def random_tensor(seed, shape=(4, 5, 6)) -> FeatureMap:
     return FeatureMap(rng.normal(size=shape).astype(np.float32))
 
 
+@contextlib.contextmanager
+def piped(raw: bytes):
+    """A /dev/fd path that reads raw through a pipe, which cannot seek.
+
+    raw is written before the path is read, so it must fit the pipe's buffer.
+    """
+    assert len(raw) <= 4096
+    r, w = os.pipe()
+    with os.fdopen(w, "wb") as fh:
+        fh.write(raw)
+    try:
+        yield f"/dev/fd/{r}"
+    finally:
+        os.close(r)
+
+
 def read_csv(path) -> list[dict]:
     lines = path.read_text().splitlines()
     header = lines[0].split(",")
@@ -107,6 +124,27 @@ class TestStatsCommand:
         src = tmp_path / "t.mxft"
         write_tensor_file(src, random_tensor(2))
         assert main(["stats", str(src), str(src), str(src), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("height", [16, 8])
+    def test_a_pipe_is_checked_for_trailing_bytes_as_a_file_is(self, height, tmp_path, capsys):
+        src = tmp_path / "t.mxft"
+        write_tensor_file(src, random_tensor(4, (1, 16, 16)))
+        raw = bytearray(src.read_bytes())
+        raw[20] = height  # H; at 8 the header claims half the payload, and 512 bytes trail it
+        src.write_bytes(bytes(raw))
+        code = 2 if height == 8 else 0
+        assert main(["stats", str(src), "--out", str(tmp_path / "file")]) == code
+        file_err = capsys.readouterr().err
+        with piped(bytes(raw)) as path:
+            assert main(["stats", path, "--out", str(tmp_path / "pipe")]) == code
+        pipe_err = capsys.readouterr().err
+        if code:
+            assert "512 bytes after the payload of header dims (1, 8, 16)" in file_err
+            assert "after the payload of header dims (1, 8, 16)" in pipe_err
+            assert not (tmp_path / "pipe").exists()
+        else:
+            for f in (tmp_path / "file").iterdir():
+                assert (tmp_path / "pipe" / f.name).read_bytes() == f.read_bytes()
 
     @pytest.mark.parametrize("n_inputs", [1, 2])
     def test_one_std_pass_per_input(self, n_inputs, tmp_path, monkeypatch):

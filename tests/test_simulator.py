@@ -72,6 +72,16 @@ class TestNoiseSchedule:
         with pytest.raises(ValueError, match="strictly in"):
             NoiseSchedule([0.0])
 
+    def test_alpha_bar_that_stops_decreasing_rejected(self):
+        # 0.01**400 underflows to 0.0, so the cumulative products stop decreasing
+        with pytest.raises(ValueError, match="^scenario field 'schedule.betas' must give strictly "):
+            NoiseSchedule([0.99] * 400)
+
+    def test_linear_beta_outside_unit_interval_names_its_key(self):
+        with pytest.raises(ValueError, match=r"^scenario field 'schedule.beta_start' must be a "
+                                             r"number in \(0, 1\), got 0.0$"):
+            NoiseSchedule.linear(beta_start=0.0)
+
 
 class TestAnalyticScore:
     def test_zero_at_scaled_prior_mean(self):
@@ -201,6 +211,10 @@ class TestDecodeGuidance:
         rhs = (decode_guidance(f0, scn.readout) + decode_guidance(f1, scn.readout)) / 2
         np.testing.assert_allclose(lhs, rhs, atol=1e-6)
 
+    def test_readout_of_the_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match="^readout length 3 != feature channels 4$"):
+            decode_guidance(FeatureMap(np.ones((4, 2, 2), np.float32)), np.ones(3))
+
 
 class TestEmbeddings:
     def test_readout_identity_and_spread(self):
@@ -222,8 +236,10 @@ class TestEmbeddings:
             (8.0, 0, "channels must be an integer, got 8.0"),
             (8, True, "index must be an integer, got True"),
             (8, -1, "index must be >= 0, got -1"),
+            (1, 0, "need at least 2 channels for a non-degenerate embedding"),
+            (3, 2, "degenerate embedding direction for index 2"),
         ],
-        ids=["float-channels", "bool-index", "negative-index"],
+        ids=["float-channels", "bool-index", "negative-index", "one-channel", "zero-direction"],
     )
     def test_channels_and_index_are_checked(self, channels, index, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -268,6 +284,19 @@ class TestScenarioValidation:
     def test_non_finite_readout_names_its_field(self):
         with pytest.raises(ValueError, match="'readout' must be finite"):
             replace(preset_scenario("contradictory"), readout=[math.nan] * 8)
+
+    @pytest.mark.parametrize("field, shape, message", [
+        ("mask", (6,), "branch field 'mask' must be a 2-D (H, W) array"),
+        ("embedding", (2, 4), "branch field 'embedding' must be a 1-D C-vector"),
+    ])
+    def test_branch_array_of_wrong_rank_names_its_field(self, field, shape, message):
+        fields = dict(mask=np.ones((6, 6)), target=np.zeros((6, 6)), embedding=np.ones(8))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Branch(**{**fields, field: np.ones(shape)})
+
+    def test_scenario_that_is_not_an_object_rejected(self):
+        with pytest.raises(ValueError, match="^a scenario must be a JSON object, got list$"):
+            scenario_from_dict([1])
 
     def test_single_branch_index_checked(self):
         with pytest.raises(ValueError, match="single_branch"):
@@ -581,6 +610,10 @@ class TestConditionError:
         scn = tiny_scenario()
         s = scn.branches[0].target + 1.0
         assert condition_error(s, scn)[0] == pytest.approx(1.0)
+
+    def test_sample_off_the_grid_rejected(self):
+        with pytest.raises(ValueError, match=r"^sample shape \(3, 3\) != scenario grid \(16, 16\)$"):
+            condition_error(np.ones((3, 3)), preset_scenario("three_way"))
 
 
 class TestAblation:

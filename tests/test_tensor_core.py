@@ -88,6 +88,14 @@ class TestFeatureMapConstruction:
         with pytest.raises(ValueError, match="channels"):
             make_feature_map(0, 1, 1, [])
 
+    @pytest.mark.parametrize("data, message", [
+        (np.ones((2, 2)), r"expected a \(C, H, W\) array, got 2 dims"),
+        (np.ones((0, 2, 2)), r"all dims must be >= 1, got shape \(0, 2, 2\)"),
+    ], ids=["rank-2", "zero-dim"])
+    def test_wrong_rank_or_empty_dim_rejected_naming_the_shape(self, data, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FeatureMap(data)
+
     @pytest.mark.parametrize("dims, field", [
         ((2.0, 1, 1), "channels"), ((2.5, 1, 1), "channels"), ((1, True, 2), "height"),
         ((1, 2, "1"), "width"),
@@ -298,6 +306,22 @@ class TestSelectionMask:
         buf = io.BytesIO()
         write_selection_pgm(mask, buf)
         assert buf.getvalue() == b"P5\n4 1\n255\n" + bytes([0, 64, 128, 255])
+
+    def test_branch_count_past_the_int32_codes_rejected(self):
+        # 2**33 < 2**40 passes the code range check, and the int32 cast would wrap it to 0
+        with pytest.raises(ValueError, match=r"^n_branches must be in \[1, 2\*\*31\] .*1099511627776$"):
+            SelectionMask(np.array([[2**33, 1]]), n_branches=2**40)
+        with pytest.raises(ValueError, match=r"^n_branches must be in \[1, 2\*\*31\] .*got 0$"):
+            SelectionMask(np.zeros((2, 2), int), 0)
+        top = SelectionMask(np.array([[2**31 - 1, AVERAGED]]), n_branches=2**31)
+        assert top.codes.tolist() == [[2**31 - 1, AVERAGED]]
+
+    def test_pgm_clips_large_codes_before_scaling(self):
+        # 64 + 64 * code in int32 would wrap these to 64, 0 and 0
+        mask = SelectionMask(np.array([[2**26, 2**25 + 3, 2**31 - 1]]), n_branches=2**31)
+        buf = io.BytesIO()
+        write_selection_pgm(mask, buf)
+        assert buf.getvalue() == b"P5\n3 1\n255\n" + bytes([255, 255, 255])
 
     def test_numeric_tag_export(self):
         mask = SelectionMask(np.array([[AVERAGED, 1]]), n_branches=2)
