@@ -15,10 +15,10 @@ replaces the network with closed forms:
   where the sample already matches the target they vanish, so "condition
   strength shows up as channel variance" holds by design and the fusion
   gates are exercised honestly;
-* a shared read-out vector u with <u, w_b> = 1 decodes any fused
-  feature back to a scalar per-pixel guidance field, which is added to
-  the analytic score with weight guidance_weight during the reverse
-  update.
+* the uniform read-out u = 1/C (the channel mean), with <u, w_b> = 1,
+  decodes any fused feature back to a scalar per-pixel guidance field,
+  which is added to the analytic score with weight guidance_weight
+  during the reverse update.
 
 Branch embeddings are built from Hadamard directions when the channel
 count is a power of two, making their pairwise geometry exact: at their
@@ -146,7 +146,7 @@ class Branch:
 
     mask: (H, W) spatial support in [0, 1].
     target: (H, W) desired image content inside the mask.
-    embedding: C-vector w with <u, w> = 1 against the scenario read-out.
+    embedding: C-vector w with <u, w> = 1 against the uniform read-out u.
     strength: positive scaling of the encoded signal.
     """
 
@@ -195,13 +195,12 @@ class Scenario:
     delta: float = DEFAULT_DELTA
     strategy: str = "maxfusion"
     single_branch: int = 0
-    readout: np.ndarray | None = None
 
     def __post_init__(self):
         # Python ints, so the size product below cannot wrap as a numpy integer's would
         for key in ("height", "width", "channels", "seed", "single_branch"):
             object.__setattr__(self, key, _integer(f"scenario field '{key}'", getattr(self, key)))
-        # sizes first: the default read-out below is allocated from them
+        # sizes first: the read-out below is allocated from them
         sizes = {"height": MAX_GRID_SIDE, "width": MAX_GRID_SIDE, "channels": MAX_CHANNELS}
         for key, hi in sizes.items():
             if not 1 <= (value := getattr(self, key)) <= hi:
@@ -226,14 +225,7 @@ class Scenario:
             raise ValueError(
                 f"scenario field 'single_branch' must index a branch, got {self.single_branch}"
             )
-        readout = default_readout(self.channels) if self.readout is None else self.readout
-        readout = _real_array("scenario field 'readout'", readout)
-        if readout.shape != (self.channels,):
-            raise ValueError(
-                f"scenario field 'readout' length must equal scenario channels "
-                f"{self.channels}, got shape {readout.shape}"
-            )
-        object.__setattr__(self, "readout", _freeze(readout))
+        u = default_readout(self.channels)
         for i, br in enumerate(self.branches):
             if br.mask.shape != (self.height, self.width):
                 raise ValueError(
@@ -245,10 +237,9 @@ class Scenario:
                     f"branch {i} field 'embedding' length {br.embedding.size} != "
                     f"scenario channels {self.channels}"
                 )
-            dot = float(self.readout @ br.embedding)
-            if abs(dot - 1.0) > 1e-6:
+            if abs((dot := float(u @ br.embedding)) - 1.0) > 1e-6:
                 raise ValueError(
-                    f"branch {i} field 'embedding' violates the read-out identity with 'readout': "
+                    f"branch {i} field 'embedding' violates the read-out identity: "
                     f"<u, w> = {dot!r}, expected 1 within 1e-6"
                 )
 
@@ -322,7 +313,7 @@ def analytic_score(
     The marginal at step t is N(sqrt(abar_t) * mu, abar_t * sigma^2 +
     1 - abar_t) elementwise, so the score is -(x - mean) / variance.
     """
-    if not 0 <= t < schedule.steps:
+    if not 0 <= (t := _integer("step index", t)) < schedule.steps:
         raise ValueError(f"step index {t} out of range [0, {schedule.steps})")
     mean, var = _marginal(schedule, t, prior_mean, prior_std)
     return -(np.asarray(x, dtype=np.float64) - mean) / var
@@ -337,25 +328,26 @@ def branch_encode(scenario: Scenario, b: int, x0_hat: np.ndarray) -> FeatureMap:
     where the condition is already satisfied, and growing with local
     violation inside it.
     """
+    if not 0 <= (b := _integer("branch index", b)) < len(scenario.branches):
+        raise ValueError(f"branch index {b} out of range [0, {len(scenario.branches)})")
+    grid = (scenario.height, scenario.width)
+    if (x0_hat := np.asarray(x0_hat, dtype=np.float64)).shape != grid:
+        raise ValueError(f"x0_hat shape {x0_hat.shape} != scenario grid {grid}")
     br = scenario.branches[b]
-    signal = br.strength * br.mask * (br.target - np.asarray(x0_hat, dtype=np.float64))
+    signal = br.strength * br.mask * (br.target - x0_hat)
     data = br.embedding[:, np.newaxis, np.newaxis] * signal[np.newaxis]
     with np.errstate(over="ignore"):  # the finite check is the divergence detector, not a warning
         return FeatureMap._adopt(_check_finite(data.astype(np.float32)))
 
 
-def decode_guidance(f_eff: FeatureMap, readout: np.ndarray) -> np.ndarray:
-    """Project a (fused) feature map onto the read-out vector per location.
+def decode_guidance(f_eff: FeatureMap) -> np.ndarray:
+    """Project a (fused) feature map onto the uniform read-out u = 1/C per location.
 
     Decoding a single un-fused branch encoding recovers its
     strength * mask * residual field exactly, by the <u, w> = 1 identity.
     """
-    readout = np.asarray(readout, dtype=np.float64)
-    if readout.shape != (f_eff.channels,):
-        raise ValueError(
-            f"readout length {readout.size} != feature channels {f_eff.channels}"
-        )
-    return (readout[:, np.newaxis, np.newaxis] * f_eff.data.astype(np.float64)).sum(axis=0)
+    u = default_readout(f_eff.channels)  # a weighted sum: .mean() differs in the last bit at C = 6
+    return (u[:, np.newaxis, np.newaxis] * f_eff.data.astype(np.float64)).sum(axis=0)
 
 
 def _gate(scenario: Scenario) -> float | None:
@@ -435,7 +427,7 @@ def sample(scenario: Scenario, record_trace: bool = False) -> RunReport:
                 feats = _encode_branches(scenario, x0_hat, t)
                 f_eff, events = _apply_strategy(scenario, delta, feats)
                 if lam != 0.0:
-                    s_eff = score + lam * decode_guidance(f_eff, scenario.readout)
+                    s_eff = score + lam * decode_guidance(f_eff)
             beta = float(sched.betas[t])
             mean = (x + beta * s_eff) / math.sqrt(1.0 - beta)
             if t > 0:
@@ -465,11 +457,9 @@ def condition_error(sample_field: np.ndarray, scenario: Scenario) -> tuple[float
 
     Empty masks score 0 by convention.
     """
-    s = np.asarray(sample_field, dtype=np.float64)
-    if s.shape != (scenario.height, scenario.width):
-        raise ValueError(
-            f"sample shape {s.shape} != scenario grid ({scenario.height}, {scenario.width})"
-        )
+    s = _real_array("sample", sample_field)
+    if s.shape != (grid := (scenario.height, scenario.width)):
+        raise ValueError(f"sample shape {s.shape} != scenario grid {grid}")
     out = []
     for br in scenario.branches:
         denom = float(br.mask.sum())
@@ -579,7 +569,6 @@ _SCENARIO_FIELDS = {
     "seed": _as_is,
     "strategy": _as_is,
     "single_branch": _as_is,
-    "readout": _float_array,
 }
 _LINEAR_SCHEDULE_FIELDS = {"steps": _as_is, "beta_start": _number, "beta_end": _number}
 #: JSON nests Scenario.delta as fusion.delta

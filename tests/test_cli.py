@@ -466,9 +466,11 @@ UNKNOWN_SCENARIO_KEYS = [
     ("fusion.detla", ("fusion", "detla"), 0.1),
     ("branches[0].strenght", ("branches", 0, "strenght"), 2.0),
     ("schedule.steps", ("schedule", "steps"), 7),  # the preset's schedule holds betas
-    # settings that left the scenario: the loser rescale is an unmerge keyword, and the
-    # zero-signal threshold is the constant stats.EPSILON_NORM
+    # settings that left the scenario: the loser rescale is an unmerge keyword, the
+    # zero-signal threshold is the constant stats.EPSILON_NORM, and the read-out is
+    # always simulator.default_readout
     ("fusion.renormalize", ("fusion", "renormalize"), "no"),
+    ("readout", ("readout",), [0.125] * 8),
     ("fusion.epsilon_norm", ("fusion", "epsilon_norm"), 1e-12),
 ]
 

@@ -104,6 +104,13 @@ class TestAnalyticScore:
         with pytest.raises(ValueError, match=r"out of range \[0, 10\)"):
             analytic_score(np.zeros((2, 2)), 10, sched)
 
+    @pytest.mark.parametrize("t", [1.5, True, np.float64(2.0), "3"])
+    def test_step_index_must_be_an_integer(self, t):
+        sched = NoiseSchedule.linear(steps=10)
+        message = f"step index must be an integer, got {t!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            analytic_score(np.zeros((2, 2)), t, sched)
+
     def test_matches_finite_difference_of_log_density(self):
         sched = NoiseSchedule.linear(steps=20)
         mu, sp = 0.4, 1.7
@@ -151,7 +158,6 @@ class TestBranchEncode:
                     embedding=np.array([1.6, 0.4]),
                 ),
             ),
-            readout=np.array([0.5, 0.5]),
         )
         fm = branch_encode(scn, 0, np.zeros((1, 1)))
         np.testing.assert_allclose(fm.data.ravel(), [3.2, 0.8], atol=1e-6)
@@ -176,12 +182,29 @@ class TestBranchEncode:
                 branch_encode(preset_scenario("contradictory"), 0, np.full((16, 16), -1e300))
 
 
+    @pytest.mark.parametrize(
+        "b, x0_hat, message",
+        [
+            (-1, np.zeros((16, 16)), "branch index -1 out of range [0, 3)"),
+            (3, np.zeros((16, 16)), "branch index 3 out of range [0, 3)"),
+            (1.0, np.zeros((16, 16)), "branch index must be an integer, got 1.0"),
+            (True, np.zeros((16, 16)), "branch index must be an integer, got True"),
+            (0, np.zeros(16), "x0_hat shape (16,) != scenario grid (16, 16)"),
+            (0, 0.0, "x0_hat shape () != scenario grid (16, 16)"),
+        ],
+        ids=["negative", "past-the-end", "float", "bool", "row", "scalar"],
+    )
+    def test_branch_index_and_estimate_shape_checked(self, b, x0_hat, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            branch_encode(preset_scenario("three_way"), b, x0_hat)
+
+
 class TestDecodeGuidance:
     def test_recovers_single_branch_signal(self):
         scn = tiny_scenario()
         x0_hat = np.random.default_rng(1).normal(size=(6, 6))
         fm = branch_encode(scn, 0, x0_hat)
-        g = decode_guidance(fm, scn.readout)
+        g = decode_guidance(fm)
         br = scn.branches[0]
         np.testing.assert_allclose(
             g, br.strength * br.mask * (br.target - x0_hat), atol=1e-6
@@ -190,7 +213,7 @@ class TestDecodeGuidance:
     def test_zero_features_decode_to_zero(self):
         scn = tiny_scenario()
         fm = branch_encode(scn, 0, scn.branches[0].target.copy())
-        np.testing.assert_array_equal(decode_guidance(fm, scn.readout), 0.0)
+        np.testing.assert_array_equal(decode_guidance(fm), 0.0)
 
     def test_linearity(self):
         scn = tiny_scenario(
@@ -207,13 +230,9 @@ class TestDecodeGuidance:
         f0 = branch_encode(scn, 0, x0_hat)
         f1 = branch_encode(scn, 1, x0_hat)
         avg = naive_average([f0, f1])
-        lhs = decode_guidance(avg, scn.readout)
-        rhs = (decode_guidance(f0, scn.readout) + decode_guidance(f1, scn.readout)) / 2
+        lhs = decode_guidance(avg)
+        rhs = (decode_guidance(f0) + decode_guidance(f1)) / 2
         np.testing.assert_allclose(lhs, rhs, atol=1e-6)
-
-    def test_readout_of_the_wrong_length_rejected(self):
-        with pytest.raises(ValueError, match="^readout length 3 != feature channels 4$"):
-            decode_guidance(FeatureMap(np.ones((4, 2, 2), np.float32)), np.ones(3))
 
 
 class TestEmbeddings:
@@ -280,10 +299,6 @@ class TestScenarioValidation:
     def test_mask_grid_mismatch_names_branch(self):
         with pytest.raises(ValueError, match="branch 0.*mask"):
             tiny_scenario(height=8)
-
-    def test_non_finite_readout_names_its_field(self):
-        with pytest.raises(ValueError, match="'readout' must be finite"):
-            replace(preset_scenario("contradictory"), readout=[math.nan] * 8)
 
     @pytest.mark.parametrize("field, shape, message", [
         ("mask", (6,), "branch field 'mask' must be a 2-D (H, W) array"),
@@ -377,10 +392,6 @@ class TestScenarioValidation:
             "branch field 'embedding'", (2,),
             lambda v: Branch(np.ones((2, 2)), np.zeros((2, 2)), v).embedding,
         ),
-        "readout": (
-            "scenario field 'readout'", (2,),
-            lambda v: Scenario(1, 1, channels=2, readout=v).readout,
-        ),
         "betas": ("scenario field 'schedule.betas'", (2,), lambda v: NoiseSchedule(v).betas),
     }
 
@@ -398,10 +409,7 @@ class TestScenarioValidation:
         "nan": (lambda shape: np.full(shape, math.nan), NOT_FINITE.format(0)),
     }
 
-    # None asks Scenario for the default read-out
-    NOT_REAL_CASES = [c for c in product(ARRAY_FIELDS, NOT_REAL_ARRAYS) if c != ("readout", "none")]
-
-    @pytest.mark.parametrize("field, value", NOT_REAL_CASES)
+    @pytest.mark.parametrize("field, value", product(ARRAY_FIELDS, NOT_REAL_ARRAYS))
     def test_array_fields_reject_non_real_arrays(self, field, value):
         name, shape, call = self.ARRAY_FIELDS[field]
         make, says = self.NOT_REAL_ARRAYS[value]
@@ -614,6 +622,20 @@ class TestConditionError:
     def test_sample_off_the_grid_rejected(self):
         with pytest.raises(ValueError, match=r"^sample shape \(3, 3\) != scenario grid \(16, 16\)$"):
             condition_error(np.ones((3, 3)), preset_scenario("three_way"))
+
+    @pytest.mark.parametrize(
+        "sample_field, message",
+        [
+            (np.full((16, 16), math.nan), r"must be finite \(non-finite value at index 0\)$"),
+            (np.full((16, 16), "a"), "must be a rectangular array of real numbers, got "),
+            (np.ones((16, 16), dtype=bool), "must be a rectangular array of real numbers, got "),
+            ([[0.5], [0.5, 0.5]], "must be a rectangular array of real numbers, got "),
+        ],
+        ids=["nan", "str", "bool", "ragged"],
+    )
+    def test_sample_must_be_finite_and_real(self, sample_field, message):
+        with pytest.raises(ValueError, match=f"^sample {message}"):
+            condition_error(sample_field, preset_scenario("three_way"))
 
 
 class TestAblation:
