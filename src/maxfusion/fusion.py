@@ -31,6 +31,10 @@ More than two branches fold pairwise: merge the first two, then merge
 each following branch into the running fused feature.  Each step
 unmerges its incoming branch; only the last step also unmerges the
 running chain, whose earlier updates the next step would overwrite.
+
+The merge's select and the unmerge's rescale run by channel slabs on the
+statistics' thread runner; both are elementwise, so no slab bound or
+thread count changes a byte.
 """
 
 from __future__ import annotations
@@ -39,8 +43,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stats import EPSILON_NORM, _normalize, _pair_pass
-from .tensor_core import AVERAGED, FeatureMap, SelectionMask, SpatialMap, _check_finite, _real
+from .stats import EPSILON_NORM, _each, _normalize, _pair_pass, _slabs
+from .tensor_core import (
+    AVERAGED, FeatureMap, SelectionMask, SpatialMap, _check_finite, _real, _shown
+)
 
 #: The default correlation gate.  Any finite delta is legal: values in [-1, 1]
 #: are meaningful, sentinels outside force one path (-1 always averages,
@@ -91,11 +97,26 @@ def _require_same_shape(maps) -> None:
             raise ValueError(f"shape mismatch: {shape} vs {m.shape}")
 
 
+def _branches(maps) -> None:
+    """Check that maps are FeatureMaps of one shape; a map that is not is named by its index."""
+    for i, m in enumerate(maps):
+        if not isinstance(m, FeatureMap):
+            raise ValueError(f"branch {i} must be a FeatureMap, got {_shown(m)}")
+    _require_same_shape(maps)
+
+
+def _flag(name: str, value) -> bool:
+    """value as a bool if it is one (a numpy bool included, an integer not)."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be True or False, got {_shown(value)}")
+    return bool(value)
+
+
 def naive_average(branches: list[FeatureMap]) -> FeatureMap:
     """Elementwise arithmetic mean across branches (the fusion baseline)."""
     if not branches:
         raise ValueError("need at least 1 branch to average, got 0")
-    _require_same_shape(branches)
+    _branches(branches)
     stack = np.stack([b.data for b in branches], dtype=np.float64)
     return FeatureMap._adopt((stack.sum(axis=0) / len(branches)).astype(np.float32))
 
@@ -108,19 +129,24 @@ def merge_pair(f1: FeatureMap, f2: FeatureMap, delta: float = DEFAULT_DELTA) -> 
     larger sigma_hat contributes its entire channel vector and the
     location is marked with the winner's index (exact ties go to 0).
     rho, both sigma maps and the average come from one blocked pass.  A
-    delta that is not a finite real number raises ValueError.
+    delta that is not a finite real number, or a branch that is not a
+    FeatureMap, raises ValueError.
     """
     delta = _real("delta", delta)
-    _require_same_shape((f1, f2))
+    _branches((f1, f2))
     rho, sigma1, sigma2, avg = _pair_pass(f1.data, f2.data)
     s1_hat, s2_hat = _normalize(sigma1), _normalize(sigma2)
 
     winner = (s2_hat > s1_hat).astype(np.int32)  # exact ties go to branch 0
     codes = np.where(rho >= delta, AVERAGED, winner)
     # the average buffer becomes f_eff: won locations take the winner's vector
-    for b, x in enumerate((f1.data, f2.data)):
-        if (won := codes == b).any():
-            np.putmask(avg, np.broadcast_to(won, avg.shape), x)
+    wins = [(x, won) for b, x in enumerate((f1.data, f2.data)) if (won := codes == b).any()]
+
+    def select(ch):
+        for x, won in wins:
+            np.putmask(avg[ch], np.broadcast_to(won, avg[ch].shape), x[ch])
+
+    _each(select, _slabs(*avg.shape) if wins else [])  # no part, no thread
     return PairFusionResult(
         f_eff=FeatureMap._adopt(avg),
         selection=SelectionMask._adopt(codes, 2),
@@ -155,14 +181,20 @@ def _unmerge_slot(
     # scale 1 keeps f_eff: the fused vector, or this branch's own where it won
     scale = np.ones(codes.shape)
     np.divide(own_sigma, win_sigma, out=scale, where=rescalable)
-    eff = result.f_eff.data
+    eff, kept = result.f_eff.data, lost & ~rescalable
+    merged, keep, finite = np.empty_like(eff), kept.any(), []
+
+    def rescale(ch):
+        out = np.multiply(scale, eff[ch], out=merged[ch], dtype=np.float64)
+        if keep:
+            np.copyto(out, x[ch], where=kept)
+        finite.append(np.isfinite(out).all())
+
     # an overflowing rescale is reported by the finite check, not a warning
     with np.errstate(over="ignore"):
-        merged = np.multiply(scale, eff, out=np.empty_like(eff), dtype=np.float64)
-    if (kept := lost & ~rescalable).any():
-        np.copyto(merged, x, where=kept[np.newaxis])
+        _each(rescale, _slabs(*eff.shape))
     try:
-        return FeatureMap._adopt(_check_finite(merged))
+        return FeatureMap._adopt(merged if all(finite) else _check_finite(merged))
     except ValueError as exc:
         raise ValueError(f"{where} overflowed float32 rescaling branch {branch} ({exc})") from None
 
@@ -187,10 +219,15 @@ def unmerge_pair(
     the zero vector; a winner sigma below EPSILON_NORM leaves the loser
     untouched (rescaling toward a zero-signal winner would only erase
     information).  With renormalize=False losers always keep their
-    original vectors.  A rescale that overflows float32 raises
-    ValueError naming the branch.
+    original vectors.  A rescale that overflows float32, a branch that is
+    not a FeatureMap and a renormalize that is not a bool raise
+    ValueError naming the branch or the argument.
     """
-    _require_same_shape((f1, f2, result.f_eff))
+    _branches((f1, f2))
+    if not isinstance(result, PairFusionResult):
+        raise ValueError(f"result must be a PairFusionResult, got {_shown(result)}")
+    renormalize = _flag("renormalize", renormalize)
+    _require_same_shape((f1, result.f_eff))
     spatial = f1.shape[1:]
     for name, m in [("selection", result.selection), *(("sigma", s) for s in result.sigma)]:
         if m.shape != spatial:
@@ -224,6 +261,8 @@ def maxfusion_fold(
     """
     if len(branches) < 2:
         raise ValueError(f"need at least 2 branches to fold, got {len(branches)}")
+    _branches(branches)
+    renormalize = _flag("renormalize", renormalize)
 
     pair_results = _merge_chain(branches, delta)
     running = branches[0]

@@ -25,12 +25,13 @@ each block of rows to float64 once (about 1 MiB per block, the height
 derived from C and W), and a block body takes every statistic of that
 block from the casts.  A block never holds a single location unless the
 whole map does, because numpy would then reduce that location pairwise
-instead of sequentially.  The blocks run on up to ``_WORKERS`` threads
-(the CPUs the process may use), each writing only its own rows.  Block
-bounds and per-block arithmetic do not depend on the thread count, so
-the results are bit-identical to whole-array ones on any number of
-CPUs.  sigma_hat needs the global spatial sum, so it is derived from the
-assembled sigma map after the blocks.
+instead of sequentially.  The blocks run on ``_each`` on up to
+``_WORKERS`` threads (the CPUs the process may use), each writing only
+its own rows; fusion's select and unmerge run on it too, over channel
+``_slabs``.  Block bounds and per-block arithmetic do not depend on the
+thread count, so the results are bit-identical to whole-array ones on
+any number of CPUs.  sigma_hat needs the global spatial sum, so it is
+derived from the assembled sigma map after the blocks.
 """
 
 from __future__ import annotations
@@ -59,30 +60,35 @@ def _row_blocks(c: int, h: int, w: int) -> list[slice]:
     return [slice(j, k) for j, k in zip(starts, starts[1:] + [h])]
 
 
-def _each_block(fn, *xs: np.ndarray) -> None:
-    """Call fn(rows, *casts) for each slice of _row_blocks(*xs[0].shape) on up to _WORKERS threads.
+def _slabs(c: int, h: int, w: int) -> list[slice]:
+    """Channel slices, in order, whose (channels, H, W) float64 span is about _BLOCK_BYTES."""
+    step = max(1, _BLOCK_BYTES // (8 * h * w))
+    return [slice(i, min(i + step, c)) for i in range(0, c, step)]
 
-    casts holds a new float64 copy of x[:, rows] for each x, which fn may overwrite.  The
-    caller works too, and helpers take blocks from its iterator in copies of its context,
-    so np.errstate holds.  The first exception is re-raised after all join.
+
+def _each(fn, parts: list) -> None:
+    """Call fn(part) for each of parts on up to _WORKERS threads.
+
+    The caller works too, and helpers take parts from its iterator in copies of
+    its context, so np.errstate holds.  A list of one part starts no thread.
+    The first exception is re-raised after all join.
     """
-    blocks = _row_blocks(*xs[0].shape)
-    todo, lock, errors = iter(blocks), threading.Lock(), []
+    todo, lock, errors = iter(parts), threading.Lock(), []
 
     def work():
         try:
             while not errors:
                 with lock:
-                    rows = next(todo, None)
-                if rows is None:
+                    part = next(todo, None)
+                if part is None:
                     return
-                fn(rows, *(x[:, rows].astype(np.float64) for x in xs))
+                fn(part)
         except BaseException as exc:  # the caller re-raises it
             errors.append(exc)
 
     helpers = [
         threading.Thread(target=contextvars.copy_context().run, args=(work,))
-        for _ in range(min(_WORKERS, len(blocks)) - 1)
+        for _ in range(min(_WORKERS, len(parts)) - 1)
     ]
     for t in helpers:
         t.start()
@@ -91,6 +97,11 @@ def _each_block(fn, *xs: np.ndarray) -> None:
         t.join()
     if errors:
         raise errors[0]
+
+
+def _each_block(fn, *xs: np.ndarray) -> None:
+    """_each over row blocks: fn(rows, *casts) may overwrite its float64 copies of x[:, rows]."""
+    _each(lambda r: fn(r, *(x[:, r].astype(np.float64) for x in xs)), _row_blocks(*xs[0].shape))
 
 
 def _sumprod(a: np.ndarray, b: np.ndarray) -> np.ndarray:

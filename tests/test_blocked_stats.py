@@ -8,9 +8,13 @@ block budget, so every edge of the blocking (a short tail block, a
 one-row tail at W = 1, a single block) is reached without MB-sized
 inputs.  The blocks of one map run on up to ``stats._WORKERS`` threads;
 ``TestBlockRunner`` sets that count, so the threaded path is checked on
-a one-CPU host too.
+a one-CPU host too.  ``TestSlabPass`` does the same for merge_pair's
+select and the unmerge rescale, which run on the same runner over
+channel slabs.
 """
 
+import contextlib
+import sys
 import threading
 import time
 from unittest import mock
@@ -23,13 +27,17 @@ from hypothesis import strategies as st
 from maxfusion import (
     AVERAGED,
     FeatureMap,
+    PairFusionResult,
+    SelectionMask,
+    SpatialMap,
     channel_std_map,
     correlation_map,
+    maxfusion_fold,
     merge_pair,
     normalized_std_map,
     unmerge_pair,
 )
-from maxfusion import preset_scenario, sample, stats
+from maxfusion import fusion, preset_scenario, sample, stats
 
 EPS = 1e-12
 DELTAS = (-1.0, 0.0, 0.5, 0.7, 1.0, 2.0)
@@ -90,6 +98,17 @@ def ref_unmerge(x1, x2, eff, codes, renormalize):
     return tuple(out)
 
 
+def ref_fold(xs, delta, renormalize):
+    """The fold's f_eff and updated maps, pair by pair from ref_merge and ref_unmerge."""
+    running, updated = xs[0], list(xs)
+    for i, x in enumerate(xs[1:], start=1):
+        eff, codes = ref_merge(running, x, delta)
+        first, updated[i] = ref_unmerge(running, x, eff, codes, renormalize)
+        running = eff
+    updated[0] = first  # only the last pair's update of the running chain is kept
+    return running, updated
+
+
 # -- inputs -------------------------------------------------------------------
 
 
@@ -111,6 +130,12 @@ def small_blocks(shape, rows):
     """Shrink the block budget so blocks hold `rows` rows (at least 2)."""
     c, _, w = shape
     return mock.patch.object(stats, "_BLOCK_BYTES", 8 * c * w * rows)
+
+
+def small_slabs(shape, channels):
+    """Shrink the block budget so channel slabs hold `channels` channels."""
+    _, h, w = shape
+    return mock.patch.object(stats, "_BLOCK_BYTES", 8 * h * w * channels)
 
 
 def same_bytes(a, b):
@@ -298,6 +323,13 @@ def helper_and_caller(caller_block, helper_block):
     return fn
 
 
+# the runner's two kinds of part, 20 of each: row blocks with their casts, channel slabs
+RUNS = {
+    "row_blocks": lambda fn: stats._each_block(fn, np.zeros((1, 40, 2), np.float32)),
+    "slabs": lambda fn: stats._each(fn, stats._slabs(40, 1, 2)),
+}
+
+
 def n_workers(n):
     """Run each map's blocks on up to n threads, whatever this host's CPU count."""
     return mock.patch.object(stats, "_WORKERS", n)
@@ -331,6 +363,17 @@ class TestBlockRunner:
         assert sorted(done, key=lambda rows: rows.start) == blocks
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_every_part_runs_once(self, workers):
+        done, numbers = [], []
+        with small_slabs((40, 1, 2), 2), n_workers(workers):
+            slabs = stats._slabs(40, 1, 2)
+            stats._each(done.append, slabs)
+            stats._each(numbers.append, list(range(7)))  # a part of 0 is a part too
+        assert len(slabs) == 20
+        assert sorted(done, key=lambda ch: ch.start) == slabs
+        assert sorted(numbers) == list(range(7))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_a_block_may_write_its_casts(self, workers):
         x = np.arange(80.0).reshape(1, 40, 2)
         before, x32, seen = x.copy(), x.astype(np.float32), []
@@ -345,9 +388,10 @@ class TestBlockRunner:
         assert len(seen) == 20 and all(seen)
         assert same_bytes(x, before) and same_bytes(x32, before.astype(np.float32))
 
+    @pytest.mark.parametrize("run", RUNS)
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize("raiser", ["helper", "caller"])
-    def test_exception_reaches_the_caller_after_every_helper_joined(self, workers, raiser):
+    def test_exception_reaches_the_caller_after_every_helper_joined(self, workers, raiser, run):
         def fail(rows):
             raise KeyError(rows.start)
 
@@ -362,15 +406,16 @@ class TestBlockRunner:
         fn = helper_and_caller(*blocks[raiser])
         before = set(threading.enumerate())
         with small_blocks((1, 40, 2), 2), n_workers(workers), pytest.raises(KeyError):
-            stats._each_block(fn, np.zeros((1, 40, 2), np.float32))
+            RUNS[run](fn)
         assert set(threading.enumerate()) == before
 
+    @pytest.mark.parametrize("run", RUNS)
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_helpers_see_the_callers_errstate(self, workers):
+    def test_helpers_see_the_callers_errstate(self, workers, run):
         seen = []
         fn = helper_and_caller(lambda rows: None, lambda rows: seen.append(np.geterr()["over"]))
         with small_blocks((1, 40, 2), 2), n_workers(workers), np.errstate(over="raise"):
-            stats._each_block(fn, np.zeros((1, 40, 2), np.float32))
+            RUNS[run](fn)
         assert seen and set(seen) == {"raise"}
 
     def test_one_block_maps_start_no_thread(self, monkeypatch):
@@ -385,3 +430,206 @@ class TestBlockRunner:
         f1, f2 = (FeatureMap(x) for x in branch_pair(10, (8, 16, 16), 0.0))
         merge_pair(f1, f2)
         sample(preset_scenario("three_way"))
+
+
+# -- the slab pass: merge_pair's select and the unmerge rescale -----------------
+
+FLT_MAX = float(np.finfo(np.float32).max)
+
+
+def references(xs, delta):
+    """ref_merge of the first two of xs, ref_unmerge of that pair and ref_fold of all three."""
+    eff, codes = ref_merge(xs[0], xs[1], delta)
+    unmerged = {r: ref_unmerge(xs[0], xs[1], eff, codes, r) for r in (True, False)}
+    folded = {r: ref_fold(xs, delta, r) for r in (True, False)}
+    return (eff, codes), unmerged, folded
+
+
+def assert_pair_and_fold_bit_identical(xs, merged, unmerged, folded, delta=0.7):
+    fs = [FeatureMap(x) for x in xs]
+    res = merge_pair(fs[0], fs[1], delta)
+    assert same_bytes(res.f_eff.data, merged[0])
+    assert np.array_equal(res.selection.codes, merged[1])
+    for renormalize in (True, False):
+        got = unmerge_pair(fs[0], fs[1], res, renormalize=renormalize)
+        for u, want in zip(got, unmerged[renormalize]):
+            assert same_bytes(u.data, want)
+        fold = maxfusion_fold(fs, delta, renormalize=renormalize)
+        eff, updated = folded[renormalize]
+        assert same_bytes(fold.f_eff.data, eff)
+        for u, want in zip(fold.updated, updated, strict=True):
+            assert same_bytes(u.data, want)
+
+
+def overflow_in_later_slabs(c=6, low=2):
+    """(loud, quiet): c x 1 x 2 maps whose unmerge overflows in channels `low` and up only.
+
+    quiet wins location 0 with a spread about 1e-3 of its level m, and loud's
+    rescale ratio there is FLT_MAX / m: so quiet's channels at m - d stay finite
+    and those at m + d overflow.  At location 1 quiet is constant and loses.
+    """
+    m, d = 1e30, 1e27
+    q0 = np.array([m - d] * low + [m + d] * (c - low))
+    quiet = np.stack([q0, np.ones(c)], axis=-1)
+    sign = np.resize([1.0, -1.0], c)[:, None]
+    loud = sign * (FLT_MAX / m * q0.std()) * np.ones((c, 2))
+    return FeatureMap(loud.reshape(c, 1, 2)), FeatureMap(quiet.reshape(c, 1, 2))
+
+
+def helpers_first(ran):
+    """A stand-in for stats._each whose caller runs its one part after helpers ran every other.
+
+    Appends (part, whether a helper ran it) to ran.
+    """
+
+    def each(fn, parts):
+        caller, others_done = threading.current_thread(), threading.Event()
+
+        def part_fn(part):
+            on_helper = threading.current_thread() is not caller
+            if not on_helper:
+                assert others_done.wait(10)
+            fn(part)
+            ran.append((part, on_helper))
+            if on_helper and len(ran) >= len(parts) - 1:
+                others_done.set()
+
+        stats._each(part_fn, parts)
+
+    return each
+
+
+class TestSlabPass:
+    @pytest.mark.parametrize("shape", LADDER_SHAPES)
+    def test_ladder_shapes_bit_identical(self, shape):
+        xs = (*branch_pair(11, shape, 0.0), branch_pair(12, shape, 0.0)[1])
+        refs = references(xs, 0.7)
+        # 1 MiB slabs (10, 5 and 3 of them) and 7-channel slabs, on 1, 2 and 3 threads
+        for channels in (None, 7):
+            for workers in (1, 2, 3):
+                slabs = small_slabs(shape, channels) if channels else contextlib.nullcontext()
+                with slabs, n_workers(workers):
+                    assert len(stats._slabs(*shape)) >= 3
+                    assert_pair_and_fold_bit_identical(xs, *refs)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        shape=st.tuples(st.integers(2, 24), st.integers(4, 11), st.integers(1, 5)),
+        rows=st.integers(1, 2),
+        offset=offsets,
+        delta=st.sampled_from(DELTAS),
+    )
+    def test_many_slabs_per_map_bit_identical(self, workers, seed, shape, rows, offset, delta):
+        xs = (*branch_pair(seed, shape, offset), branch_pair(seed + 1, shape, offset)[1])
+        refs = references(xs, delta)
+        with small_blocks(shape, rows), n_workers(workers):
+            assert len(stats._slabs(*shape)) >= 2
+            assert_pair_and_fold_bit_identical(xs, *refs, delta)
+
+    @settings(max_examples=200, deadline=None)
+    @given(shape=shapes, channels=st.integers(1, 30))
+    def test_slabs_cover_every_channel_once_in_order(self, shape, channels):
+        with small_slabs(shape, channels):
+            slabs = stats._slabs(*shape)
+        assert [ch for s in slabs for ch in range(shape[0])[s]] == list(range(shape[0]))
+        assert all(s.stop - s.start == min(channels, shape[0]) for s in slabs[:-1])
+
+    def test_real_budget_is_about_one_mebibyte(self):
+        slabs = stats._slabs(320, 64, 64)
+        assert len(slabs) == 10 and slabs[0] == slice(0, 32)
+        assert 32 * 64 * 64 * 8 == stats._BLOCK_BYTES
+        assert stats._slabs(1280, 8, 8) == [slice(0, 1280)]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_overflow_first_seen_in_a_later_slab_reports_the_whole_map_index(self, workers):
+        loud, quiet = overflow_in_later_slabs()
+        res = merge_pair(loud, quiet)
+        np.testing.assert_array_equal(res.selection.codes, [[1, 0]])
+        with small_slabs(loud.shape, 1 << 30), n_workers(1), pytest.raises(ValueError) as whole:
+            unmerge_pair(loud, quiet, res)
+        # channel 2 at location 0 of a 6 x 1 x 2 map is flat index 4
+        assert str(whole.value) == (
+            "unmerge overflowed float32 rescaling branch 0 (non-finite value at index 4)"
+        )
+        with small_slabs(loud.shape, 2), n_workers(workers), pytest.raises(ValueError) as slabs:
+            assert len(stats._slabs(*loud.shape)) == 3
+            unmerge_pair(loud, quiet, res)
+        assert str(slabs.value) == str(whole.value)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_overflow_in_a_helpers_slab_reports_the_whole_map_index(self, workers, monkeypatch):
+        loud, quiet = overflow_in_later_slabs()
+        res = merge_pair(loud, quiet)
+        ran = []
+        monkeypatch.setattr(fusion, "_each", helpers_first(ran))
+        with small_slabs(loud.shape, 2), n_workers(workers), pytest.raises(
+            ValueError, match=r"^unmerge overflowed float32 rescaling branch 0 "
+                              r"\(non-finite value at index 4\)$"
+        ):
+            unmerge_pair(loud, quiet, res)
+        # slabs 1 and 2 overflow; the caller ran at most one of them
+        assert any(helper and ch.start >= 2 for ch, helper in ran)
+
+    def test_an_overflow_in_one_of_many_slabs_is_never_lost(self):
+        # 8 threads on 64 one-channel slabs, switching often: only the last slab
+        # overflows, and each run must still report it
+        loud, quiet = overflow_in_later_slabs(c=64, low=63)
+        res = merge_pair(loud, quiet)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with small_slabs(loud.shape, 1), n_workers(8):
+                for _ in range(20):
+                    with pytest.raises(ValueError, match=r"\(non-finite value at index 126\)$"):
+                        unmerge_pair(loud, quiet, res)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("n_branches", [2, 3])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_fold_reports_branch_0_when_both_slots_of_the_last_pair_overflow(
+        self, workers, n_branches, monkeypatch
+    ):
+        # A real merge cannot make both slots overflow.  A rescale overflows only with
+        # a ratio sigma_loser / sigma_winner above 1, and since the winner's sigma_hat
+        # is the larger, that needs the loser's sigma sum to be the larger; the two
+        # slots cannot both have the larger sum.  So the last pair's result is built
+        # by hand: each slot loses one location to a vector near 1e38, at ratio 10.
+        branches = [FeatureMap(np.full((6, 1, 2), 1e38, np.float32))] * n_branches
+        sigma = (SpatialMap(np.array([[10.0, 1.0]])), SpatialMap(np.array([[1.0, 10.0]])))
+        last = PairFusionResult(
+            f_eff=branches[0],
+            selection=SelectionMask(np.array([[1, 0]]), 2),
+            rho=SpatialMap(np.zeros((1, 2))),
+            sigma_hat=sigma,
+            sigma=sigma,
+        )
+        first = merge_pair(branches[0], branches[1])
+        monkeypatch.setattr(fusion, "_merge_chain", lambda *args: (first, last)[3 - n_branches:])
+        with small_slabs(branches[0].shape, 1), n_workers(workers), pytest.raises(
+            ValueError, match=rf"^unmerge of pair {n_branches - 1} overflowed float32 rescaling "
+                              r"branch 0 \(non-finite value at index 0\)$"
+        ):
+            maxfusion_fold(branches)
+        with small_slabs(branches[0].shape, 1), n_workers(workers), pytest.raises(
+            ValueError, match=r"^unmerge overflowed float32 rescaling branch 0 "
+        ):
+            unmerge_pair(branches[0], branches[1], last)
+
+    def test_one_slab_maps_start_no_thread(self, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a one-slab map started a thread")
+
+        x1, x2 = branch_pair(13, (1280, 8, 8), 0.0)
+        x3 = branch_pair(14, (1280, 8, 8), 0.0)[1]
+        monkeypatch.setattr(stats, "_WORKERS", 3)
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        assert len(stats._slabs(*x1.shape)) == 1 and len(stats._row_blocks(*x1.shape)) == 1
+        f1, f2, f3 = (FeatureMap(x) for x in (x1, x2, x3))
+        res = merge_pair(f1, f2)
+        assert np.any(res.selection.codes >= 0)  # the select ran
+        for renormalize in (True, False):
+            unmerge_pair(f1, f2, res, renormalize=renormalize)
+            maxfusion_fold([f1, f2, f3], renormalize=renormalize)

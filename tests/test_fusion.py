@@ -1,4 +1,5 @@
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from maxfusion import (
     AVERAGED,
     FeatureMap,
     Scenario,
+    SpatialMap,
     channel_std_map,
     make_feature_map,
     maxfusion_fold,
@@ -360,3 +362,71 @@ class TestDeltaGate:
         assert Scenario(height=2, width=2).delta == DEFAULT_DELTA
         for unmerging in (unmerge_pair, maxfusion_fold):  # the loser rescale is on by default
             assert inspect.signature(unmerging).parameters["renormalize"].default is True
+
+
+def two_maps() -> tuple[FeatureMap, FeatureMap]:
+    return random_map(40), random_map(41)
+
+
+class TestArgumentChecks:
+    """A bad argument to a fusion entry point raises a ValueError that names it."""
+
+    # what is passed in place of a FeatureMap, and how the message shows it
+    NOT_A_MAP = {
+        "array": (np.zeros((4, 4, 4), np.float32), "an array"),
+        "list": ([[[0.0]]], "an array"),
+        "spatial_map": (SpatialMap(np.zeros((4, 4))), "SpatialMap(H=4, W=4)"),
+        "none": (None, "None"),
+    }
+    BRANCH_CALLS = {
+        "merge_pair": lambda maps: merge_pair(*maps),
+        "unmerge_pair": lambda maps: unmerge_pair(*maps, merge_pair(*two_maps())),
+        "maxfusion_fold": maxfusion_fold,
+        "naive_average": naive_average,
+    }
+
+    @pytest.mark.parametrize("slot", [0, 1])
+    @pytest.mark.parametrize("bad", NOT_A_MAP)
+    @pytest.mark.parametrize("call", BRANCH_CALLS)
+    def test_a_branch_that_is_not_a_feature_map_is_named(self, call, bad, slot):
+        maps = list(two_maps())
+        maps[slot], shown = self.NOT_A_MAP[bad]
+        message = f"^branch {slot} must be a FeatureMap, got {re.escape(shown)}$"
+        with pytest.raises(ValueError, match=message):
+            self.BRANCH_CALLS[call](maps)
+
+    @pytest.mark.parametrize("call", [maxfusion_fold, naive_average])
+    def test_a_later_branch_is_named_by_its_index(self, call):
+        maps = [*two_maps(), random_map(42).data]
+        with pytest.raises(ValueError, match="^branch 2 must be a FeatureMap, got an array$"):
+            call(maps)
+
+    # a string, no value, integers (numpy's too) and a float: only a bool is a flag
+    NOT_A_FLAG = {
+        "str": "no", "none": None, "zero": 0, "one": 1, "int64": np.int64(1), "float": 1.0
+    }
+    FLAG_CALLS = {
+        "unmerge_pair": lambda r: unmerge_pair(*two_maps(), merge_pair(*two_maps()), renormalize=r),
+        "maxfusion_fold": lambda r: maxfusion_fold(list(two_maps()), renormalize=r),
+    }
+
+    @pytest.mark.parametrize("flag", NOT_A_FLAG)
+    @pytest.mark.parametrize("call", FLAG_CALLS)
+    def test_renormalize_must_be_a_bool(self, call, flag):
+        value = self.NOT_A_FLAG[flag]
+        message = f"^renormalize must be True or False, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            self.FLAG_CALLS[call](value)
+
+    @pytest.mark.parametrize("call", FLAG_CALLS)
+    def test_numpy_bools_are_flags(self, call):
+        for value in (True, False):
+            assert self.FLAG_CALLS[call](np.bool_(value)) == self.FLAG_CALLS[call](value)
+
+    def test_unmerge_result_must_be_a_merge_result(self):
+        f1, f2 = two_maps()
+        res = merge_pair(f1, f2)
+        for bad, shown in ((res.f_eff, "FeatureMap(C=4, H=4, W=4)"), (None, "None")):
+            message = f"^result must be a PairFusionResult, got {re.escape(shown)}$"
+            with pytest.raises(ValueError, match=message):
+                unmerge_pair(f1, f2, bad)
