@@ -44,9 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .stats import EPSILON_NORM, _each, _normalize, _pair_pass, _slabs
-from .tensor_core import (
-    AVERAGED, FeatureMap, SelectionMask, SpatialMap, _check_finite, _real, _shown
-)
+from .tensor_core import AVERAGED, FeatureMap, SelectionMask, SpatialMap, _check_finite
+from .tensor_core import _feature_maps, _flag, _instance, _real
 
 #: The default correlation gate.  Any finite delta is legal: values in [-1, 1]
 #: are meaningful, sentinels outside force one path (-1 always averages,
@@ -90,33 +89,9 @@ class FoldResult:
     pair_results: tuple[PairFusionResult, ...]
 
 
-def _require_same_shape(maps) -> None:
-    shape = maps[0].shape
-    for m in maps[1:]:
-        if m.shape != shape:
-            raise ValueError(f"shape mismatch: {shape} vs {m.shape}")
-
-
-def _branches(maps) -> None:
-    """Check that maps are FeatureMaps of one shape; a map that is not is named by its index."""
-    for i, m in enumerate(maps):
-        if not isinstance(m, FeatureMap):
-            raise ValueError(f"branch {i} must be a FeatureMap, got {_shown(m)}")
-    _require_same_shape(maps)
-
-
-def _flag(name: str, value) -> bool:
-    """value as a bool if it is one (a numpy bool included, an integer not)."""
-    if not isinstance(value, (bool, np.bool_)):
-        raise ValueError(f"{name} must be True or False, got {_shown(value)}")
-    return bool(value)
-
-
 def naive_average(branches: list[FeatureMap]) -> FeatureMap:
     """Elementwise arithmetic mean across branches (the fusion baseline)."""
-    if not branches:
-        raise ValueError("need at least 1 branch to average, got 0")
-    _branches(branches)
+    _feature_maps(branches, 1, "average")
     stack = np.stack([b.data for b in branches], dtype=np.float64)
     return FeatureMap._adopt((stack.sum(axis=0) / len(branches)).astype(np.float32))
 
@@ -133,7 +108,7 @@ def merge_pair(f1: FeatureMap, f2: FeatureMap, delta: float = DEFAULT_DELTA) -> 
     FeatureMap, raises ValueError.
     """
     delta = _real("delta", delta)
-    _branches((f1, f2))
+    _feature_maps((f1, f2), 2)
     rho, sigma1, sigma2, avg = _pair_pass(f1.data, f2.data)
     s1_hat, s2_hat = _normalize(sigma1), _normalize(sigma2)
 
@@ -219,15 +194,13 @@ def unmerge_pair(
     the zero vector; a winner sigma below EPSILON_NORM leaves the loser
     untouched (rescaling toward a zero-signal winner would only erase
     information).  With renormalize=False losers always keep their
-    original vectors.  A rescale that overflows float32, a branch that is
-    not a FeatureMap and a renormalize that is not a bool raise
-    ValueError naming the branch or the argument.
+    original vectors.  A rescale that overflows float32 raises ValueError
+    naming the branch.
     """
-    _branches((f1, f2))
-    if not isinstance(result, PairFusionResult):
-        raise ValueError(f"result must be a PairFusionResult, got {_shown(result)}")
+    _feature_maps((f1, f2), 2)
+    _instance("result", result, PairFusionResult)
     renormalize = _flag("renormalize", renormalize)
-    _require_same_shape((f1, result.f_eff))
+    _feature_maps((f1, result.f_eff), 2)
     spatial = f1.shape[1:]
     for name, m in [("selection", result.selection), *(("sigma", s) for s in result.sigma)]:
         if m.shape != spatial:
@@ -259,9 +232,7 @@ def maxfusion_fold(
     to every unmerge.  A rescale that overflows float32 raises ValueError
     naming the pair and the branch.
     """
-    if len(branches) < 2:
-        raise ValueError(f"need at least 2 branches to fold, got {len(branches)}")
-    _branches(branches)
+    _feature_maps(branches, 2, "fold")
     renormalize = _flag("renormalize", renormalize)
 
     pair_results = _merge_chain(branches, delta)

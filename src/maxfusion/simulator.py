@@ -40,7 +40,7 @@ import numpy as np
 
 from .fusion import DEFAULT_DELTA, MAX_SELECT_DELTA, _merge_chain, naive_average
 from .tensor_core import FeatureMap, SelectionMask, _check_finite, _freeze, _integer, _real
-from .tensor_core import _real_array, _shown
+from .tensor_core import _instance, _real_array, _shown
 
 STRATEGIES = ("maxfusion", "naive", "max_select", "single", "unconditional")
 #: Each preset branch: its mask rectangle (rows r0:r1, columns c0:c1) and constant target.
@@ -346,6 +346,7 @@ def decode_guidance(f_eff: FeatureMap) -> np.ndarray:
     Decoding a single un-fused branch encoding recovers its
     strength * mask * residual field exactly, by the <u, w> = 1 identity.
     """
+    _instance("f_eff", f_eff, FeatureMap)
     u = default_readout(f_eff.channels)  # a weighted sum: .mean() differs in the last bit at C = 6
     return (u[:, np.newaxis, np.newaxis] * f_eff.data.astype(np.float64)).sum(axis=0)
 

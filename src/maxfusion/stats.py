@@ -42,7 +42,7 @@ import threading
 
 import numpy as np
 
-from .tensor_core import FeatureMap, SpatialMap
+from .tensor_core import FeatureMap, SpatialMap, _feature_maps, _instance
 
 _BLOCK_BYTES = 1 << 20
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -177,7 +177,7 @@ def channel_std_map(f: FeatureMap) -> SpatialMap:
     Divides by C, not C-1, so C=1 inputs are well-defined (sigma = 0)
     and the variance-selection path degenerates to tie-breaking.
     """
-    return SpatialMap._adopt(_std_map(f.data))
+    return SpatialMap._adopt(_std_map(_instance("f", f, FeatureMap).data))
 
 
 def normalized_std_map(f: FeatureMap) -> SpatialMap:
@@ -187,7 +187,7 @@ def normalized_std_map(f: FeatureMap) -> SpatialMap:
     map), returns the exactly uniform map 1/(H*W) instead of dividing
     by zero.
     """
-    return SpatialMap._adopt(_normalize(_std_map(f.data)))
+    return SpatialMap._adopt(_normalize(_std_map(_instance("f", f, FeatureMap).data)))
 
 
 def correlation_map(f1: FeatureMap, f2: FeatureMap) -> SpatialMap:
@@ -198,8 +198,7 @@ def correlation_map(f1: FeatureMap, f2: FeatureMap) -> SpatialMap:
     zero feature carries no conditioning signal, so the gate should fall
     through to variance selection, where the zero branch loses.
     """
-    if f1.shape != f2.shape:
-        raise ValueError(f"shape mismatch: {f1.shape} vs {f2.shape}")
+    _feature_maps((f1, f2), 2)
     rho = np.empty(f1.shape[1:])
     _each_block(lambda rows, a, b: np.copyto(rho[rows], _cosine(a, b)), f1.data, f2.data)
     return SpatialMap._adopt(rho)

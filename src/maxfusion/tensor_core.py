@@ -22,7 +22,10 @@ just allocated, and that nothing else references, is adopted instead:
 the private ``_adopt`` freezes it in place unchecked, so its caller owes
 the container's rank, dtype and range.  MXFT reads, statistics maps and
 fusion outputs adopt, so each feature byte moves once; only an MXFT
-payload and a float32 cast of float64 values are checked first.
+payload and a float32 cast of float64 values are checked first.  Beside
+these value rules (``_integer``, ``_real``, ``_real_array``) are the
+argument rules every public entry point calls: ``_instance`` for a
+container, ``_flag`` for a bool and ``_feature_maps`` for branches.
 
 On-disk tensor format (MXFT, little-endian throughout):
 
@@ -114,6 +117,31 @@ def _real_array(name: str, value, dtype=np.float64) -> np.ndarray:
         raise ValueError(f"{name} must be a rectangular array of real numbers, got {_shown(value)}")
     with np.errstate(over="ignore"):  # a value past the range of dtype fails the finite check
         return _check_finite(arr.astype(dtype), name)
+
+
+def _flag(name: str, value) -> bool:
+    """value as a bool if it is one (a numpy bool included, an integer not)."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be True or False, got {_shown(value)}")
+    return bool(value)
+
+
+def _instance(name: str, value, cls):
+    """value if it is an instance of cls, a class or a tuple of classes."""
+    if not isinstance(value, cls):
+        kinds = " or ".join(c.__name__ for c in (cls if isinstance(cls, tuple) else (cls,)))
+        raise ValueError(f"{name} must be a {kinds}, got {_shown(value)}")
+    return value
+
+
+def _feature_maps(maps, least: int, to: str = "fuse") -> None:
+    """Check for a list or tuple of >= least same-shape FeatureMaps; a bad map is named by index."""
+    if (n := len(_instance("branches", maps, (list, tuple)))) < least:
+        raise ValueError(f"need at least {least} branch{'es' * (least > 1)} to {to}, got {n}")
+    shapes = [_instance(f"branch {i}", m, FeatureMap).shape for i, m in enumerate(maps)]
+    for shape in shapes[1:]:
+        if shape != shapes[0]:
+            raise ValueError(f"shape mismatch: {shapes[0]} vs {shape}")
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -293,7 +321,7 @@ def write_tensor(tensor: FeatureMap | SpatialMap, sink: BinaryIO) -> int:
     makes a byte-swapped copy.
     """
     fm = tensor.to_feature_map() if isinstance(tensor, SpatialMap) else tensor
-    c, h, w = fm.shape
+    c, h, w = _instance("tensor", fm, (FeatureMap, SpatialMap)).shape
     header = _HEADER.pack(MXFT_MAGIC, MXFT_VERSION, MXFT_DTYPE_F32, 3, c, h, w)
     payload = np.ascontiguousarray(fm.data, dtype="<f4").reshape(-1).view(np.uint8)
     sink.write(header)
@@ -368,7 +396,7 @@ def write_pgm(sm: SpatialMap, sink: BinaryIO) -> int:
 
     A constant map renders as all black.
     """
-    vals = sm.data
+    vals = _instance("sm", sm, SpatialMap).data
     lo, hi = float(vals.min()), float(vals.max())
     if not np.isfinite(hi - lo):  # a span past the float range: halve it (exact but for subnormals)
         vals, lo, hi = vals / 2.0, lo / 2.0, hi / 2.0
@@ -381,7 +409,8 @@ def write_pgm(sm: SpatialMap, sink: BinaryIO) -> int:
 
 def write_selection_pgm(mask: SelectionMask, sink: BinaryIO) -> int:
     """Render a selection mask as PGM: averaged = 0, winner b = 64 + 64*b, clipped at 255."""
-    gray = np.minimum(64 * (np.minimum(mask.codes, 3) + 1), 255)  # codes clipped before they scale
+    codes = _instance("mask", mask, SelectionMask).codes
+    gray = np.minimum(64 * (np.minimum(codes, 3) + 1), 255)  # codes clipped before they scale
     return _write_pgm_bytes(gray.astype(np.uint8), sink)
 
 

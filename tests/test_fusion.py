@@ -1,4 +1,5 @@
 import inspect
+import io
 import re
 
 import numpy as np
@@ -13,12 +14,18 @@ from maxfusion import (
     Scenario,
     SpatialMap,
     channel_std_map,
+    correlation_map,
+    decode_guidance,
     make_feature_map,
     maxfusion_fold,
     merge_pair,
     naive_average,
+    normalized_std_map,
     pure_max_select,
     unmerge_pair,
+    write_pgm,
+    write_selection_pgm,
+    write_tensor,
 )
 from maxfusion.fusion import DEFAULT_DELTA
 from maxfusion.simulator import preset_scenario, run_ablation
@@ -430,3 +437,96 @@ class TestArgumentChecks:
             message = f"^result must be a PairFusionResult, got {re.escape(shown)}$"
             with pytest.raises(ValueError, match=message):
                 unmerge_pair(f1, f2, bad)
+
+    LIST_CALLS = {"maxfusion_fold": maxfusion_fold, "naive_average": naive_average}
+    NOT_A_LIST = {
+        "feature_map": (lambda: random_map(40), "FeatureMap(C=4, H=4, W=4)"),
+        "generator": (lambda: (m for m in two_maps()), "<generator object "),
+        "none": (lambda: None, "None"),
+    }
+
+    @pytest.mark.parametrize("bad", NOT_A_LIST)
+    @pytest.mark.parametrize("call", LIST_CALLS)
+    def test_branches_must_be_a_list_or_tuple(self, call, bad):
+        make, shown = self.NOT_A_LIST[bad]
+        message = f"^branches must be a list or tuple, got {re.escape(shown)}"
+        with pytest.raises(ValueError, match=message):
+            self.LIST_CALLS[call](make())
+
+    @pytest.mark.parametrize(
+        "call, branches, message",
+        [
+            (maxfusion_fold, [], "need at least 2 branches to fold, got 0"),
+            (maxfusion_fold, [random_map(40)], "need at least 2 branches to fold, got 1"),
+            (naive_average, [], "need at least 1 branch to average, got 0"),
+        ],
+    )
+    def test_too_few_branches_give_a_count_message(self, call, branches, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(branches)
+
+    @pytest.mark.parametrize("call", LIST_CALLS)
+    def test_a_tuple_of_branches_is_accepted(self, call):
+        maps = [*two_maps(), random_map(42)]
+        assert self.LIST_CALLS[call](tuple(maps)) == self.LIST_CALLS[call](maps)
+
+    def test_fold_shape_mismatch_names_both_shapes(self):
+        maps = [*two_maps(), random_map(42, shape=(4, 4, 5))]
+        with pytest.raises(ValueError, match=r"^shape mismatch: \(4, 4, 4\) vs \(4, 4, 5\)$"):
+            maxfusion_fold(maps)
+
+
+class TestContainerArguments:
+    """The statistics, the writers and the decoder name an argument that is not their container."""
+
+    STATS_CALLS = {
+        "channel_std_map": (channel_std_map, "f"),
+        "normalized_std_map": (normalized_std_map, "f"),
+        "correlation_map": (lambda x: correlation_map(random_map(40), x), "branch 1"),
+        "correlation_map_first": (lambda x: correlation_map(x, random_map(40)), "branch 0"),
+    }
+    NOT_A_MAP = {"array": (np.zeros((4, 4, 4), np.float32), "an array"), "none": (None, "None")}
+
+    @pytest.mark.parametrize("bad", NOT_A_MAP)
+    @pytest.mark.parametrize("call", STATS_CALLS)
+    def test_stats_name_an_argument_that_is_not_a_feature_map(self, call, bad):
+        fn, name = self.STATS_CALLS[call]
+        value, shown = self.NOT_A_MAP[bad]
+        with pytest.raises(ValueError, match=f"^{name} must be a FeatureMap, got {shown}$"):
+            fn(value)
+
+    def test_correlation_of_two_shapes_names_both(self):
+        f1, f2 = random_map(40), random_map(41, shape=(4, 4, 5))
+        with pytest.raises(ValueError, match=r"^shape mismatch: \(4, 4, 4\) vs \(4, 4, 5\)$"):
+            correlation_map(f1, f2)
+
+    # each writer's argument: its name and the class it must be
+    TAKES = {
+        write_tensor: ("tensor", "FeatureMap or SpatialMap"),
+        write_pgm: ("sm", "SpatialMap"),
+        write_selection_pgm: ("mask", "SelectionMask"),
+    }
+    # a writer, what it is given and how the message shows that
+    WRITES = {
+        "tensor_nan_array": (write_tensor, np.full((1, 1, 2), np.nan), "an array"),
+        "tensor_2d_array": (write_tensor, np.zeros((2, 2)), "an array"),
+        "pgm_array": (write_pgm, np.zeros((2, 2)), "an array"),
+        "pgm_feature_map": (write_pgm, random_map(40), "FeatureMap(C=4, H=4, W=4)"),
+        "selection_array": (write_selection_pgm, np.zeros((2, 2), np.int32), "an array"),
+        "selection_feature_map": (write_selection_pgm, random_map(40), "FeatureMap(C=4, H=4, W=4)"),
+    }
+
+    @pytest.mark.parametrize("case", WRITES)
+    def test_a_writer_names_a_bad_argument_before_writing(self, case):
+        writer, value, shown = self.WRITES[case]
+        name, kind = self.TAKES[writer]
+        sink = io.BytesIO()
+        with pytest.raises(ValueError, match=f"^{name} must be a {kind}, got {re.escape(shown)}$"):
+            writer(value, sink)
+        assert sink.getvalue() == b""
+
+    @pytest.mark.parametrize("bad", NOT_A_MAP)
+    def test_decode_guidance_names_an_argument_that_is_not_a_feature_map(self, bad):
+        value, shown = self.NOT_A_MAP[bad]
+        with pytest.raises(ValueError, match=f"^f_eff must be a FeatureMap, got {shown}$"):
+            decode_guidance(value)
