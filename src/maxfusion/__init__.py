@@ -45,7 +45,6 @@ from .simulator import (
     branch_encode,
     condition_error,
     decode_guidance,
-    default_readout,
     preset_scenario,
     run_ablation,
     sample,
@@ -77,7 +76,6 @@ __all__ = [
     "condition_error",
     "correlation_map",
     "decode_guidance",
-    "default_readout",
     "make_feature_map",
     "maxfusion_fold",
     "merge_pair",

@@ -30,7 +30,6 @@ from .simulator import (
 )
 from .stats import _normalize, channel_std_map, correlation_map
 from .tensor_core import (
-    HEADER_SIZE,
     FeatureMap,
     SpatialMap,
     _read_upto,
@@ -66,7 +65,8 @@ def _mxft(fh) -> FeatureMap:
     fm = read_tensor(fh)
     # a dim corrupted downward would otherwise read as a smaller map
     if fh.seekable():
-        if (trailing := os.fstat(fh.fileno()).st_size - HEADER_SIZE - fm.data.nbytes) > 0:
+        here = fh.tell()
+        if (trailing := fh.seek(0, os.SEEK_END) - here) > 0:
             raise ValueError(f"{trailing} bytes after the payload of header dims {fm.shape}")
     elif fh.read(1):  # a pipe may never end, so it is read one byte past the payload, not counted
         raise ValueError(f"bytes after the payload of header dims {fm.shape}")

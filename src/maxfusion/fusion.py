@@ -124,7 +124,7 @@ def merge_pair(f1: FeatureMap, f2: FeatureMap, delta: float = DEFAULT_DELTA) -> 
     _each(select, _slabs(*avg.shape) if wins else [])  # no part, no thread
     return PairFusionResult(
         f_eff=FeatureMap._adopt(avg),
-        selection=SelectionMask._adopt(codes, 2),
+        selection=SelectionMask._adopt(codes),
         rho=SpatialMap._adopt(rho),
         sigma_hat=(SpatialMap._adopt(s1_hat), SpatialMap._adopt(s2_hat)),
         sigma=(SpatialMap._adopt(sigma1), SpatialMap._adopt(sigma2)),

@@ -40,7 +40,7 @@ import numpy as np
 
 from .fusion import DEFAULT_DELTA, MAX_SELECT_DELTA, _merge_chain, naive_average
 from .tensor_core import FeatureMap, SelectionMask, _check_finite, _freeze, _integer, _real
-from .tensor_core import _instance, _real_array, _shown
+from .tensor_core import _flag, _instance, _real_array, _shown
 
 STRATEGIES = ("maxfusion", "naive", "max_select", "single", "unconditional")
 #: Each preset branch: its mask rectangle (rows r0:r1, columns c0:c1) and constant target.
@@ -72,7 +72,7 @@ class NoiseSchedule:
     key, such as ``schedule.steps``.
     """
 
-    __slots__ = ("betas", "alphas", "alpha_bar")
+    __slots__ = ("betas", "alpha_bar")
 
     def __init__(self, betas):
         betas = _real_array("scenario field 'schedule.betas'", betas)
@@ -82,8 +82,7 @@ class NoiseSchedule:
         if not ((betas > 0.0) & (betas < 1.0)).all():
             raise ValueError("scenario field 'schedule.betas' must lie strictly in (0, 1)")
         self.betas = _freeze(betas)
-        self.alphas = _freeze(1.0 - betas)
-        alpha_bar = np.cumprod(self.alphas)
+        alpha_bar = np.cumprod(1.0 - betas)
         if betas.size > 1 and not (np.diff(alpha_bar) < 0).all():
             raise ValueError("scenario field 'schedule.betas' must give strictly decreasing "
                              "cumulative alpha products")
@@ -134,10 +133,6 @@ def branch_embedding(channels: int, index: int) -> np.ndarray:
             raise ValueError(f"degenerate embedding direction for index {index}")
         direction = raw / sd
     return 1.0 + _AMPLITUDE * direction
-
-
-def default_readout(channels: int) -> np.ndarray:
-    return np.full(channels, 1.0 / channels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,7 +200,9 @@ class Scenario:
         for key, hi in sizes.items():
             if not 1 <= (value := getattr(self, key)) <= hi:
                 raise _bad(key, f"in [1, {hi}]", value)
-        object.__setattr__(self, "branches", tuple(self.branches))
+        _instance("scenario field 'schedule'", self.schedule, NoiseSchedule)
+        branches = _instance("scenario field 'branches'", self.branches, (list, tuple))
+        object.__setattr__(self, "branches", tuple(branches))
         n = max(1, len(self.branches))  # sample() holds every branch's feature at once
         if n * self.channels * self.height * self.width > MAX_FEATURE_VALUES:
             raise ValueError(
@@ -225,9 +222,9 @@ class Scenario:
             raise ValueError(
                 f"scenario field 'single_branch' must index a branch, got {self.single_branch}"
             )
-        u = default_readout(self.channels)
+        u = np.full(self.channels, 1.0 / self.channels)
         for i, br in enumerate(self.branches):
-            if br.mask.shape != (self.height, self.width):
+            if _instance(f"branch {i}", br, Branch).mask.shape != (self.height, self.width):
                 raise ValueError(
                     f"branch {i} field 'mask' shape {br.mask.shape} != "
                     f"scenario grid ({self.height}, {self.width})"
@@ -313,6 +310,7 @@ def analytic_score(
     The marginal at step t is N(sqrt(abar_t) * mu, abar_t * sigma^2 +
     1 - abar_t) elementwise, so the score is -(x - mean) / variance.
     """
+    _instance("schedule", schedule, NoiseSchedule)
     if not 0 <= (t := _integer("step index", t)) < schedule.steps:
         raise ValueError(f"step index {t} out of range [0, {schedule.steps})")
     mean, var = _marginal(schedule, t, prior_mean, prior_std)
@@ -328,6 +326,7 @@ def branch_encode(scenario: Scenario, b: int, x0_hat: np.ndarray) -> FeatureMap:
     where the condition is already satisfied, and growing with local
     violation inside it.
     """
+    _instance("scenario", scenario, Scenario)
     if not 0 <= (b := _integer("branch index", b)) < len(scenario.branches):
         raise ValueError(f"branch index {b} out of range [0, {len(scenario.branches)})")
     grid = (scenario.height, scenario.width)
@@ -346,8 +345,8 @@ def decode_guidance(f_eff: FeatureMap) -> np.ndarray:
     Decoding a single un-fused branch encoding recovers its
     strength * mask * residual field exactly, by the <u, w> = 1 identity.
     """
-    _instance("f_eff", f_eff, FeatureMap)
-    u = default_readout(f_eff.channels)  # a weighted sum: .mean() differs in the last bit at C = 6
+    c = _instance("f_eff", f_eff, FeatureMap).channels
+    u = np.full(c, 1.0 / c)  # a weighted sum: .mean() differs in the last bit at C = 6
     return (u[:, np.newaxis, np.newaxis] * f_eff.data.astype(np.float64)).sum(axis=0)
 
 
@@ -402,7 +401,8 @@ def sample(scenario: Scenario, record_trace: bool = False) -> RunReport:
     when one branch's encoding overflowed, instead of emitting numpy
     overflow warnings.
     """
-    sched = scenario.schedule
+    sched = _instance("scenario", scenario, Scenario).schedule
+    record_trace = _flag("record_trace", record_trace)
     steps = sched.steps
     rng = np.random.default_rng(scenario.seed)
     shape = (scenario.height, scenario.width)
@@ -458,6 +458,7 @@ def condition_error(sample_field: np.ndarray, scenario: Scenario) -> tuple[float
 
     Empty masks score 0 by convention.
     """
+    _instance("scenario", scenario, Scenario)
     s = _real_array("sample", sample_field)
     if s.shape != (grid := (scenario.height, scenario.width)):
         raise ValueError(f"sample shape {s.shape} != scenario grid {grid}")
@@ -479,8 +480,8 @@ def run_ablation(scenario: Scenario, deltas) -> tuple[RunReport, ...]:
     tightening the gate can only shrink the set of averaged locations
     step by step, so the averaged fraction is non-increasing in delta.
     """
-    deltas = list(deltas)
-    if not deltas:
+    _instance("scenario", scenario, Scenario)
+    if not _instance("deltas", deltas, (list, tuple)):
         raise ValueError("need at least one delta")
     # every delta is checked (by Scenario) before the first run
     runs = [replace(scenario, strategy="maxfusion", delta=d) for d in deltas]
@@ -586,6 +587,7 @@ def _fields(obj, converters: dict) -> dict:
 
 def scenario_to_dict(s: Scenario) -> dict:
     """Mirror a Scenario as a JSON-ready dict with the keys scenario_from_dict converts."""
+    _instance("s", s, Scenario)
     return {
         **_fields(s, _SCENARIO_FIELDS),
         "schedule": {"betas": s.schedule.betas.tolist()},

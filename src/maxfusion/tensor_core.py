@@ -3,16 +3,17 @@
 A feature map is a dense (C, H, W) block of float32 values, one
 conditioning branch's output at one fusion site.  A spatial map is an
 (H, W) field of float64 scalars derived from feature maps (std maps,
-normalized-std maps, correlation maps).  A selection mask records the
-per-location outcome of a fusion decision: averaged, or won wholesale
-by one branch.  All three are immutable after construction and hold
-only finite values, so downstream arithmetic never has to guard
-against NaN or infinity.
+normalized-std maps, correlation maps).  A selection mask records one
+pair merge's per-location decision (a fold of more branches chains pair
+merges): averaged (-1), or won wholesale by branch 0 or branch 1.  All
+three are immutable after construction and hold only finite values, so
+downstream arithmetic never has to guard against NaN or infinity.
 
-The three share one private base, ``_Frozen``: the ``shape``,
-``height`` and ``width`` accessors, an equality over each class's
-declared fields that never holds across classes, no hash, and for the
-two float maps one constructor body that differs only in rank and dtype.
+Each container is one frozen array in its one slot (``data``, or a
+mask's ``codes``) and nothing else.  The private base ``_Frozen`` gives
+all three the ``shape`` accessor, an equality of the arrays that never
+holds across classes, no hash, one repr of the dims, and for the two
+float maps one constructor body that differs only in rank and dtype.
 
 Values are checked where they enter or where arithmetic can overflow.
 The public constructors copy and check their input, which the caller
@@ -157,14 +158,12 @@ def _check_dims(arr: np.ndarray, ndim: int, what: str) -> None:
 
 
 class _Frozen:
-    """Base of the three containers: construction, shape and equality.
+    """Base of the three containers: one frozen array in the subclass's one slot.
 
-    ``_fields`` names the slots equality compares, the frozen array first.
     The float maps' shared constructor reads ``_ndim``, ``_dtype`` and ``_what``.
     """
 
     __slots__ = ()
-    _fields = ("data",)
 
     def __init__(self, data: np.ndarray):
         arr = _real_array(f"{type(self).__name__} data", data, self._dtype)
@@ -172,35 +171,32 @@ class _Frozen:
         self.data = _freeze(arr)
 
     @classmethod
-    def _adopt(cls, data: np.ndarray, *rest):
+    def _adopt(cls, data: np.ndarray):
         """Freeze, neither copy nor check, an array the library just allocated.
 
-        It must have the container's rank, dtype and range; ``rest`` fills
-        the remaining ``_fields`` (a mask's n_branches).
+        It must have the container's rank, dtype and range.
         """
         obj = cls.__new__(cls)
-        for name, value in zip(cls._fields, (_freeze(data), *rest)):
-            setattr(obj, name, value)
+        setattr(obj, cls.__slots__[0], _freeze(data))
         return obj
+
+    def _array(self) -> np.ndarray:
+        return getattr(self, self.__slots__[0])
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return getattr(self, self._fields[0]).shape
-
-    @property
-    def height(self) -> int:
-        return self.shape[-2]
-
-    @property
-    def width(self) -> int:
-        return self.shape[-1]
+        return self._array().shape
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, type(self)):
             return NotImplemented
-        return all(np.array_equal(getattr(self, f), getattr(other, f)) for f in self._fields)
+        return np.array_equal(self._array(), other._array())
 
     __hash__ = None
+
+    def __repr__(self) -> str:
+        dims = ", ".join(f"{d}={n}" for d, n in zip("CHW"[-len(self.shape):], self.shape))
+        return f"{type(self).__name__}({dims})"
 
 
 class FeatureMap(_Frozen):
@@ -216,9 +212,6 @@ class FeatureMap(_Frozen):
     @property
     def channels(self) -> int:
         return self.data.shape[0]
-
-    def __repr__(self) -> str:
-        return f"FeatureMap(C={self.channels}, H={self.height}, W={self.width})"
 
 
 def make_feature_map(
@@ -249,18 +242,9 @@ class SpatialMap(_Frozen):
     __slots__ = ("data",)
     _ndim, _dtype, _what = 2, np.float64, "an (H, W)"
 
-    @classmethod
-    def from_feature_map(cls, fm: FeatureMap) -> "SpatialMap":
-        if fm.channels != 1:
-            raise ValueError(f"need C=1 to reinterpret as spatial map, got C={fm.channels}")
-        return cls._adopt(fm.data[0].astype(np.float64))
-
     def to_feature_map(self) -> FeatureMap:
         """Reinterpret as a C=1 feature map (float32 cast) for MXFT export."""
         return FeatureMap._adopt(_real_array("float32 export", self.data[np.newaxis], np.float32))
-
-    def __repr__(self) -> str:
-        return f"SpatialMap(H={self.height}, W={self.width})"
 
 
 #: Selection-mask code for locations fused by averaging.
@@ -268,35 +252,28 @@ AVERAGED = -1
 
 
 class SelectionMask(_Frozen):
-    """Per-location fusion decisions: AVERAGED (-1) or a winner branch index.
+    """One pair merge's per-location decisions: AVERAGED (-1), branch 0 or branch 1."""
 
-    ``n_branches`` is the number of branches that participated in the
-    merge; winner codes must lie in ``[0, n_branches)``.
-    """
+    __slots__ = ("codes",)
 
-    __slots__ = _fields = ("codes", "n_branches")
-
-    def __init__(self, codes: np.ndarray, n_branches: int):
+    def __init__(self, codes: np.ndarray):
         arr = np.asarray(codes)
         _check_dims(arr, 2, "an (H, W) code")
-        if not 1 <= (n_branches := _integer("n_branches", n_branches)) <= 2**31:
-            raise ValueError(f"n_branches must be in [1, 2**31] for int32 codes, got {n_branches}")
         if arr.dtype.kind not in "iu":  # checked before the int32 cast, which would wrap
             raise ValueError(f"selection codes must be integers, got dtype {arr.dtype}")
-        if arr.min() < AVERAGED or arr.max() >= n_branches:
+        if arr.min() < AVERAGED or arr.max() > 1:
             raise ValueError(
-                f"selection codes must be {AVERAGED} (averaged) or a branch index "
-                f"< {n_branches}, got range [{arr.min()}, {arr.max()}]"
+                f"selection codes must be {AVERAGED} (averaged), 0 or 1, "
+                f"got range [{arr.min()}, {arr.max()}]"
             )
         self.codes = _freeze(arr.astype(np.int32))
-        self.n_branches = n_branches
 
     def _fractions(self) -> tuple[float, ...]:
-        """Share of locations per code: averaged first, then each branch's wins.
+        """Share of locations per code: averaged, then branch 0's and branch 1's wins.
 
         A count over the size is the same float as the mean of a bool array.
         """
-        counts = np.bincount(self.codes.ravel() - AVERAGED, minlength=self.n_branches + 1)
+        counts = np.bincount(self.codes.ravel() - AVERAGED, minlength=3)
         return tuple((counts / self.codes.size).tolist())
 
     def averaged_fraction(self) -> float:
@@ -308,9 +285,6 @@ class SelectionMask(_Frozen):
     def tag_map(self) -> FeatureMap:
         """Numeric tags as a C=1 tensor (-1.0 averaged, b.0 winner) for MXFT export."""
         return FeatureMap._adopt(self.codes[np.newaxis].astype(np.float32))
-
-    def __repr__(self) -> str:
-        return f"SelectionMask(H={self.height}, W={self.width}, n_branches={self.n_branches})"
 
 
 def write_tensor(tensor: FeatureMap | SpatialMap, sink: BinaryIO) -> int:
@@ -388,7 +362,9 @@ def _read_upto(source: BinaryIO, n: int) -> bytes | bytearray:
 
 def read_spatial_map(source: BinaryIO) -> SpatialMap:
     """Read a C=1 MXFT stream as a SpatialMap."""
-    return SpatialMap.from_feature_map(read_tensor(source))
+    if (fm := read_tensor(source)).channels != 1:
+        raise ValueError(f"need C=1 to reinterpret as spatial map, got C={fm.channels}")
+    return SpatialMap._adopt(fm.data[0].astype(np.float64))
 
 
 def write_pgm(sm: SpatialMap, sink: BinaryIO) -> int:
@@ -408,9 +384,8 @@ def write_pgm(sm: SpatialMap, sink: BinaryIO) -> int:
 
 
 def write_selection_pgm(mask: SelectionMask, sink: BinaryIO) -> int:
-    """Render a selection mask as PGM: averaged = 0, winner b = 64 + 64*b, clipped at 255."""
-    codes = _instance("mask", mask, SelectionMask).codes
-    gray = np.minimum(64 * (np.minimum(codes, 3) + 1), 255)  # codes clipped before they scale
+    """Render a selection mask as PGM: averaged = 0, branch 0 = 64, branch 1 = 128."""
+    gray = 64 * (_instance("mask", mask, SelectionMask).codes + 1)
     return _write_pgm_bytes(gray.astype(np.uint8), sink)
 
 

@@ -601,7 +601,7 @@ class TestSlabPass:
         sigma = (SpatialMap(np.array([[10.0, 1.0]])), SpatialMap(np.array([[1.0, 10.0]])))
         last = PairFusionResult(
             f_eff=branches[0],
-            selection=SelectionMask(np.array([[1, 0]]), 2),
+            selection=SelectionMask(np.array([[1, 0]])),
             rho=SpatialMap(np.zeros((1, 2))),
             sigma_hat=sigma,
             sigma=sigma,

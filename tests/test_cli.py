@@ -468,7 +468,7 @@ UNKNOWN_SCENARIO_KEYS = [
     ("schedule.steps", ("schedule", "steps"), 7),  # the preset's schedule holds betas
     # settings that left the scenario: the loser rescale is an unmerge keyword, the
     # zero-signal threshold is the constant stats.EPSILON_NORM, and the read-out is
-    # always simulator.default_readout
+    # always the uniform channel mean 1/C
     ("fusion.renormalize", ("fusion", "renormalize"), "no"),
     ("readout", ("readout",), [0.125] * 8),
     ("fusion.epsilon_norm", ("fusion", "epsilon_norm"), 1e-12),

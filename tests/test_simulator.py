@@ -25,7 +25,6 @@ from maxfusion import (
     channel_std_map,
     condition_error,
     decode_guidance,
-    default_readout,
     make_feature_map,
     maxfusion_fold,
     naive_average,
@@ -238,7 +237,7 @@ class TestDecodeGuidance:
 class TestEmbeddings:
     def test_readout_identity_and_spread(self):
         for c in (4, 8, 16, 6, 10):
-            u = default_readout(c)
+            u = np.full(c, 1.0 / c)  # the uniform read-out decode_guidance uses
             for idx in range(3):
                 w = branch_embedding(c, idx)
                 assert abs(float(u @ w) - 1.0) < 1e-6
@@ -464,6 +463,52 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="is not one of: ") as err:
             scenario_from_dict(probe)
         assert set(node) == set(str(err.value).split("is not one of: ")[1].split(", "))
+
+
+_JSON = scenario_to_dict(preset_scenario("contradictory"))  # a scenario's dict, not a Scenario
+
+
+class TestEntryPointArguments:
+    """Each simulator entry point names a wrong argument kind in a ValueError."""
+
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: Scenario(2, 2, schedule=1),
+                     "scenario field 'schedule' must be a NoiseSchedule, got 1", id="schedule"),
+        pytest.param(lambda: Scenario(2, 2, branches=None),
+                     "scenario field 'branches' must be a list or tuple, got None", id="branches_none"),
+        pytest.param(lambda: Scenario(2, 2, branches="ab"),
+                     "scenario field 'branches' must be a list or tuple, got 'ab'", id="branches_str"),
+        pytest.param(lambda: Scenario(2, 2, branches=[_JSON["branches"][0]]),
+                     "branch 0 must be a Branch, got an object", id="branch_dict"),
+        pytest.param(lambda: sample(tiny_scenario(), record_trace="no"),
+                     "record_trace must be True or False, got 'no'", id="record_trace"),
+        pytest.param(lambda: sample(tiny_scenario(), record_trace=1),
+                     "record_trace must be True or False, got 1", id="record_trace_int"),
+        pytest.param(lambda: run_ablation(tiny_scenario(), 0.5),
+                     "deltas must be a list or tuple, got 0.5", id="deltas_float"),
+        pytest.param(lambda: run_ablation(tiny_scenario(), np.array([0.5])),
+                     "deltas must be a list or tuple, got an array", id="deltas_array"),
+        pytest.param(lambda: sample(_JSON),
+                     "scenario must be a Scenario, got an object", id="sample"),
+        pytest.param(lambda: run_ablation(_JSON, [0.5]),
+                     "scenario must be a Scenario, got an object", id="run_ablation"),
+        pytest.param(lambda: branch_encode(_JSON, 0, np.zeros((16, 16))),
+                     "scenario must be a Scenario, got an object", id="branch_encode"),
+        pytest.param(lambda: condition_error(np.zeros((16, 16)), _JSON),
+                     "scenario must be a Scenario, got an object", id="condition_error"),
+        pytest.param(lambda: scenario_to_dict(_JSON),
+                     "s must be a Scenario, got an object", id="scenario_to_dict"),
+        pytest.param(lambda: analytic_score(np.zeros(2), 0, None),
+                     "schedule must be a NoiseSchedule, got None", id="analytic_score"),
+    ])
+    def test_wrong_kind_named(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_branch_tuple_and_list_alike(self):
+        scn = tiny_scenario()
+        assert sample(replace(scn, branches=list(scn.branches))).same_outputs(sample(scn))
+        assert run_ablation(scn, (0.5,))[0].same_outputs(run_ablation(scn, [0.5])[0])
 
 
 class TestSampling:

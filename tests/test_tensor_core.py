@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxfusion import SelectionStats, merge_pair, unmerge_pair
+from maxfusion import SelectionStats, maxfusion_fold, merge_pair, unmerge_pair
 from maxfusion.tensor_core import (
     AVERAGED,
     FeatureMap,
@@ -225,9 +225,12 @@ class TestSpatialMap:
             with pytest.raises(ValueError, match="non-finite value at index 1"):
                 write_tensor(SpatialMap([[1.0, -1e39]]), io.BytesIO())
 
-    def test_from_feature_map_requires_single_channel(self):
-        with pytest.raises(ValueError, match="C=1"):
-            SpatialMap.from_feature_map(make_feature_map(2, 1, 1, [0.0, 1.0]))
+    def test_read_spatial_map_requires_single_channel(self):
+        buf = io.BytesIO()
+        write_tensor(make_feature_map(2, 1, 1, [0.0, 1.0]), buf)
+        buf.seek(0)
+        with pytest.raises(ValueError, match=r"^need C=1 to reinterpret as spatial map, got C=2$"):
+            read_spatial_map(buf)
 
     def test_pgm_minmax_normalization_exact_bytes(self):
         sm = SpatialMap([[0.0, 1.0], [2.0, 3.0]])
@@ -258,73 +261,75 @@ class TestSpatialMap:
 
 
 class TestSelectionMask:
-    def test_codes_validated_against_branch_count(self):
-        with pytest.raises(ValueError, match="branch index"):
-            SelectionMask(np.array([[2]]), n_branches=2)
-        with pytest.raises(ValueError, match="branch index"):
-            SelectionMask(np.array([[-2]]), n_branches=2)
+    def test_codes_must_be_a_pair_decision(self):
+        for codes, lo, hi in (([[2]], 2, 2), ([[-2]], -2, -2), ([[AVERAGED, 0, 1, 2]], -1, 2)):
+            with pytest.raises(ValueError, match=rf"^selection codes must be -1 \(averaged\), "
+                                                 rf"0 or 1, got range \[{lo}, {hi}\]$"):
+                SelectionMask(np.array(codes))
         # checked before the int32 cast, which would wrap 2**40 to 0 and truncate 1.7 to 1
-        with pytest.raises(ValueError, match=r"branch index < 2, got range \[1099511627776, "):
-            SelectionMask(np.array([[2**40]]), n_branches=2)
+        with pytest.raises(ValueError, match=r", 0 or 1, got range \[1099511627776, "):
+            SelectionMask(np.array([[2**40]]))
         for codes in ([[1.7]], [[np.nan]], [[True]]):
             with pytest.raises(ValueError, match="^selection codes must be integers, got dtype "):
-                SelectionMask(np.array(codes), n_branches=2)
-        assert SelectionMask(np.array([[1]], dtype=np.uint64), 2).codes.dtype == np.int32
+                SelectionMask(np.array(codes))
+        assert SelectionMask(np.array([[1]], dtype=np.uint64)).codes.dtype == np.int32
 
-    @pytest.mark.parametrize("n_branches", [1.5, 2.0, True, "2", None])
-    def test_non_integer_branch_count_rejected(self, n_branches):
-        with pytest.raises(ValueError, match=r"^n_branches must be an integer, got "):
-            SelectionMask(np.array([[1]]), n_branches=n_branches)
+    def test_branch_count_is_not_an_argument(self):
+        # every mask is one pair's decision, so there is no count to give
+        with pytest.raises(TypeError):
+            SelectionMask(np.array([[1]]), 2)
+        assert not hasattr(SelectionMask(np.array([[1]])), "n_branches")
 
-    def test_numpy_integer_branch_count_stored_as_int(self):
-        mask = SelectionMask(np.array([[1]]), n_branches=np.int64(2))
-        assert type(mask.n_branches) is int and mask.n_branches == 2
+    def test_repr_shows_the_dims(self):
+        assert repr(SelectionMask(np.zeros((2, 3), int))) == "SelectionMask(H=2, W=3)"
+        assert repr(SpatialMap(np.zeros((2, 3)))) == "SpatialMap(H=2, W=3)"
+        assert repr(FeatureMap(np.zeros((4, 2, 3)))) == "FeatureMap(C=4, H=2, W=3)"
 
     def test_fractions(self):
-        mask = SelectionMask(np.array([[AVERAGED, 0], [1, 1]]), n_branches=2)
+        mask = SelectionMask(np.array([[AVERAGED, 0], [1, 1]]))
         assert mask.averaged_fraction() == 0.25
         assert mask.win_fractions() == (0.25, 0.5)
 
     @settings(max_examples=200, deadline=None)
     @given(
-        n_branches=st.integers(1, 4),
         shape=st.tuples(st.integers(1, 40), st.integers(1, 40)),
         seed=st.integers(0, 2**31),
     )
-    def test_fractions_equal_the_mean_of_each_code(self, n_branches, shape, seed):
-        codes = np.random.default_rng(seed).integers(AVERAGED, n_branches, size=shape)
-        mask = SelectionMask(codes, n_branches)
-        want = [float(np.mean(codes == b)) for b in range(AVERAGED, n_branches)]
+    def test_fractions_equal_the_mean_of_each_code(self, shape, seed):
+        codes = np.random.default_rng(seed).integers(AVERAGED, 2, size=shape)
+        mask = SelectionMask(codes)
+        want = [float(np.mean(codes == b)) for b in (AVERAGED, 0, 1)]
         got = [mask.averaged_fraction(), *mask.win_fractions()]
         assert all(type(g) is float for g in got)
         assert np.array(got).tobytes() == np.array(want).tobytes()  # bit for bit
         stats = SelectionStats.from_mask(mask)
         assert [stats.averaged_fraction, *stats.win_fractions] == got
 
-    def test_pgm_encoding_clipped(self):
-        mask = SelectionMask(np.array([[AVERAGED, 0, 1, 3]]), n_branches=4)
+    def test_pgm_encoding(self):
+        mask = SelectionMask(np.array([[AVERAGED, 0, 1, 0]]))
         buf = io.BytesIO()
         write_selection_pgm(mask, buf)
-        assert buf.getvalue() == b"P5\n4 1\n255\n" + bytes([0, 64, 128, 255])
+        assert buf.getvalue() == b"P5\n4 1\n255\n" + bytes([0, 64, 128, 64])
 
-    def test_branch_count_past_the_int32_codes_rejected(self):
-        # 2**33 < 2**40 passes the code range check, and the int32 cast would wrap it to 0
-        with pytest.raises(ValueError, match=r"^n_branches must be in \[1, 2\*\*31\] .*1099511627776$"):
-            SelectionMask(np.array([[2**33, 1]]), n_branches=2**40)
-        with pytest.raises(ValueError, match=r"^n_branches must be in \[1, 2\*\*31\] .*got 0$"):
-            SelectionMask(np.zeros((2, 2), int), 0)
-        top = SelectionMask(np.array([[2**31 - 1, AVERAGED]]), n_branches=2**31)
-        assert top.codes.tolist() == [[2**31 - 1, AVERAGED]]
-
-    def test_pgm_clips_large_codes_before_scaling(self):
-        # 64 + 64 * code in int32 would wrap these to 64, 0 and 0
-        mask = SelectionMask(np.array([[2**26, 2**25 + 3, 2**31 - 1]]), n_branches=2**31)
-        buf = io.BytesIO()
-        write_selection_pgm(mask, buf)
-        assert buf.getvalue() == b"P5\n3 1\n255\n" + bytes([255, 255, 255])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 4),
+        shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+        delta=st.sampled_from([-1.0, 0.0, 0.7, 2.0]),
+        seed=st.integers(0, 2**31),
+    )
+    def test_pgm_of_every_fold_pair_holds_only_three_levels(self, n, shape, delta, seed):
+        rng = np.random.default_rng(seed)
+        branches = [FeatureMap(rng.normal(size=(3, *shape))) for _ in range(n)]
+        for pair in maxfusion_fold(branches, delta).pair_results:
+            buf = io.BytesIO()
+            write_selection_pgm(pair.selection, buf)
+            header = f"P5\n{shape[1]} {shape[0]}\n255\n".encode()
+            assert buf.getvalue().startswith(header)
+            assert set(buf.getvalue()[len(header):]) <= {0, 64, 128}
 
     def test_numeric_tag_export(self):
-        mask = SelectionMask(np.array([[AVERAGED, 1]]), n_branches=2)
+        mask = SelectionMask(np.array([[AVERAGED, 1]]))
         tags = mask.tag_map()
         np.testing.assert_array_equal(tags.data[0], [[-1.0, 1.0]])
 
@@ -353,7 +358,7 @@ def _codes(shape) -> np.ndarray:
 CONTAINERS = [
     pytest.param(FeatureMap, (2, 3, 4), id="FeatureMap"),
     pytest.param(SpatialMap, (3, 4), id="SpatialMap"),
-    pytest.param(lambda a: SelectionMask(a, 2), (3, 4), id="SelectionMask"),
+    pytest.param(SelectionMask, (3, 4), id="SelectionMask"),
 ]
 
 
@@ -374,10 +379,6 @@ class TestEquality:
     def test_same_values_in_another_shape_compare_unequal(self, make, shape):
         arr = _codes(shape)
         assert make(arr) != make(arr.reshape(shape[::-1]))
-
-    def test_masks_differing_only_in_branch_count_compare_unequal(self):
-        codes = _codes((3, 4))
-        assert SelectionMask(codes, 2) != SelectionMask(codes, 3)
 
     def test_feature_map_never_equals_spatial_map(self):
         arr = _codes((3, 4))
@@ -506,7 +507,7 @@ class TestAdoptionKeepsChecks:
         src3 = np.ones((2, 2, 2), dtype=np.float32)
         src2 = np.ones((2, 2))
         codes = np.zeros((2, 2), dtype=np.int32)
-        fm, sm, mask = FeatureMap(src3), SpatialMap(src2), SelectionMask(codes, 2)
+        fm, sm, mask = FeatureMap(src3), SpatialMap(src2), SelectionMask(codes)
         src3[0, 0, 0] = src2[0, 0] = 99.0
         codes[0, 0] = 1
         assert fm.data[0, 0, 0] == 1.0 and sm.data[0, 0] == 1.0 and mask.codes[0, 0] == 0
@@ -516,14 +517,13 @@ class TestAdoptionKeepsChecks:
     def test_adopt_freezes_in_place_without_copy_or_checks(self):
         # the library's own arrays are valid by construction; _adopt only wraps them
         arrays = [
-            (FeatureMap, np.array([[[0.0, np.inf]]], dtype=np.float32), ()),
-            (SpatialMap, np.ones(3), ()),
-            (SelectionMask, np.array([[2]], dtype=np.int32), (2,)),
+            (FeatureMap, np.array([[[0.0, np.inf]]], dtype=np.float32), "data"),
+            (SpatialMap, np.ones(3), "data"),
+            (SelectionMask, np.array([[2]], dtype=np.int32), "codes"),
         ]
-        for cls, arr, rest in arrays:
-            obj = cls._adopt(arr, *rest)
-            assert getattr(obj, cls._fields[0]) is arr and not arr.flags.writeable
-        assert obj.n_branches == 2
+        for cls, arr, slot in arrays:
+            obj = cls._adopt(arr)
+            assert getattr(obj, slot) is arr and not arr.flags.writeable
 
 
 class TestReadFuzz:

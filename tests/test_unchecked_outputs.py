@@ -1,7 +1,7 @@
 """The outputs the library wraps without a check, at the edges of their inputs.
 
 Merge, naive_average, the statistics maps, tag_map and a spatial map read
-from a feature map hand their arrays to ``_adopt``, which checks nothing.
+from an MXFT stream hand their arrays to ``_adopt``, which checks nothing.
 These tests pin why no check is needed: for any finite float32 input, each
 output is finite, in its range, and of its container's dtype and rank.
 """
@@ -23,6 +23,7 @@ from maxfusion import (
     naive_average,
     normalized_std_map,
     preset_scenario,
+    read_spatial_map,
     read_tensor,
     unmerge_pair,
     write_tensor,
@@ -136,14 +137,6 @@ def test_naive_average_at_float32_max_with_mixed_signs():
     np.testing.assert_array_equal(out, (stack.sum(axis=0) / 3).astype(np.float32))
 
 
-def test_tag_map_holds_every_code_finitely():
-    top = int(np.iinfo(np.int32).max)
-    mask = SelectionMask(np.array([[AVERAGED, 0, 1, top - 1]]), n_branches=top)
-    tags = mask.tag_map().data
-    assert np.isfinite(tags).all()
-    np.testing.assert_array_equal(tags[0], mask.codes.astype(np.float32))
-
-
 def _mxft(fm: FeatureMap) -> io.BytesIO:
     buf = io.BytesIO()
     write_tensor(fm, buf)
@@ -167,9 +160,9 @@ PRODUCERS = {
     "normalized_std_map": lambda: normalized_std_map(_F1),
     "normalized_std_map.uniform": lambda: normalized_std_map(PAIRS["zero"][0]),
     "correlation_map": lambda: correlation_map(_F1, _F2),
-    "tag_map": lambda: SelectionMask(np.array([[AVERAGED, 1]]), n_branches=2).tag_map(),
+    "tag_map": lambda: SelectionMask(np.array([[AVERAGED, 1]])).tag_map(),
     "to_feature_map": _SPATIAL.to_feature_map,
-    "from_feature_map": lambda: SpatialMap.from_feature_map(_SPATIAL.to_feature_map()),
+    "read_spatial_map": lambda: read_spatial_map(_mxft(_SPATIAL.to_feature_map())),
     "read_tensor": lambda: read_tensor(_mxft(_F1)),
     "branch_encode": lambda: branch_encode(_SCENARIO, 0, np.zeros((16, 16))),
 }
