@@ -250,7 +250,7 @@ class SelectionStats:
 
     @classmethod
     def from_mask(cls, mask: SelectionMask) -> "SelectionStats":
-        averaged, *wins = mask._fractions()
+        averaged, *wins = _instance("mask", mask, SelectionMask)._fractions()
         return cls(averaged, tuple(wins))
 
 
@@ -313,7 +313,8 @@ def analytic_score(
     _instance("schedule", schedule, NoiseSchedule)
     if not 0 <= (t := _integer("step index", t)) < schedule.steps:
         raise ValueError(f"step index {t} out of range [0, {schedule.steps})")
-    mean, var = _marginal(schedule, t, prior_mean, prior_std)
+    prior = _real("prior_mean", prior_mean), _real("prior_std", prior_std)
+    mean, var = _marginal(schedule, t, *prior)
     return -(np.asarray(x, dtype=np.float64) - mean) / var
 
 

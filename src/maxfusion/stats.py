@@ -28,10 +28,13 @@ whole map does, because numpy would then reduce that location pairwise
 instead of sequentially.  The blocks run on ``_each`` on up to
 ``_WORKERS`` threads (the CPUs the process may use), each writing only
 its own rows; fusion's select and unmerge run on it too, over channel
-``_slabs``.  Block bounds and per-block arithmetic do not depend on the
-thread count, so the results are bit-identical to whole-array ones on
-any number of CPUs.  sigma_hat needs the global spatial sum, so it is
-derived from the assembled sigma map after the blocks.
+``_slabs``.  Its helper threads start at the first call with two or
+more parts and then live for the process, at most ``_WORKERS - 1`` of
+them (none on one CPU); a forked child starts its own.  Block bounds
+and per-block arithmetic do not depend on the thread count, so the
+results are bit-identical to whole-array ones on any number of CPUs.
+sigma_hat needs the global spatial sum, so it is derived from the
+assembled sigma map after the blocks.
 """
 
 from __future__ import annotations
@@ -66,12 +69,60 @@ def _slabs(c: int, h: int, w: int) -> list[slice]:
     return [slice(i, min(i + step, c)) for i in range(0, c, step)]
 
 
-def _each(fn, parts: list) -> None:
-    """Call fn(part) for each of parts on up to _WORKERS threads.
+_helpers: list[threading.Thread] = []  # grows to at most _WORKERS - 1, each alive for the process
+_pending: list = []  # entries posted by _each calls that no helper has taken up yet
+_ready = threading.Condition()
 
-    The caller works too, and helpers take parts from its iterator in copies of
-    its context, so np.errstate holds.  A list of one part starts no thread.
-    The first exception is re-raised after all join.
+
+def _serve() -> None:
+    """A helper's loop: wait for a pending entry, take the oldest and run it.
+
+    The entry stays bound until the next one, and with it the arrays of the call
+    it served.  Those keep the top of glibc's heap in use, so the caller's freed
+    memory below them is not trimmed and faulted in again by the next call.
+    """
+    while True:
+        with _ready:
+            while not _pending:
+                _ready.wait()
+            run = _pending.pop(0)
+        run()
+
+
+def _fresh_runner() -> None:
+    """In a forked child, which holds none of its parent's helpers: new primitives, no entries."""
+    global _ready
+    _ready = threading.Condition()
+    _pending.clear()
+    _helpers.clear()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_fresh_runner)
+
+
+def _entry(work):
+    """An entry that runs work in a copy of the caller's context, and the lock it releases then."""
+    ctx, done = contextvars.copy_context(), threading.Lock()
+    done.acquire()
+
+    def run():
+        ctx.run(work)
+        done.release()
+
+    return run, done
+
+
+def _each(fn, parts: list) -> None:
+    """Call fn(part) for each of parts on the caller and on up to _WORKERS - 1 helpers.
+
+    The call posts one entry per helper it wants, starting helpers the process
+    lacks, and works through the parts too; a helper takes parts from the same
+    iterator in its entry's copy of the caller's context, so np.errstate holds.
+    The caller then takes back every entry no helper took up and waits only for
+    those that a helper did, so a nested or concurrent call cannot deadlock.  A
+    list of one part posts nothing.  The first exception is re-raised after those
+    helpers finish.
     """
     todo, lock, errors = iter(parts), threading.Lock(), []
 
@@ -86,15 +137,26 @@ def _each(fn, parts: list) -> None:
         except BaseException as exc:  # the caller re-raises it
             errors.append(exc)
 
-    helpers = [
-        threading.Thread(target=contextvars.copy_context().run, args=(work,))
-        for _ in range(min(_WORKERS, len(parts)) - 1)
-    ]
-    for t in helpers:
-        t.start()
+    posted = [_entry(work) for _ in range(min(_WORKERS, len(parts)) - 1)]
+    if posted:
+        with _ready:
+            while len(_helpers) < len(posted):
+                helper = threading.Thread(target=_serve, name="maxfusion-stats", daemon=True)
+                helper.start()
+                _helpers.append(helper)
+            _pending.extend(run for run, _ in posted)
+            _ready.notify(len(posted))
     work()
-    for t in helpers:
-        t.join()
+    if posted:
+        with _ready:
+            taken = []
+            for run, done in posted:
+                if run in _pending:
+                    _pending.remove(run)  # no helper took it up
+                else:
+                    taken.append(done)
+        for done in taken:
+            done.acquire()
     if errors:
         raise errors[0]
 

@@ -8,15 +8,21 @@ block budget, so every edge of the blocking (a short tail block, a
 one-row tail at W = 1, a single block) is reached without MB-sized
 inputs.  The blocks of one map run on up to ``stats._WORKERS`` threads;
 ``TestBlockRunner`` sets that count, so the threaded path is checked on
-a one-CPU host too.  ``TestSlabPass`` does the same for merge_pair's
-select and the unmerge rescale, which run on the same runner over
-channel slabs.
+a one-CPU host too.  The runner's helper threads outlive each call, so
+its tests compare threads against the helpers the process already
+holds, and check the bound on helpers in a forked child, which starts
+with none.  ``TestSlabPass`` does the same for merge_pair's select and
+the unmerge rescale, which run on the same runner over channel slabs.
 """
 
 import contextlib
+import os
+import signal
 import sys
 import threading
 import time
+import traceback
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -335,6 +341,46 @@ def n_workers(n):
     return mock.patch.object(stats, "_WORKERS", n)
 
 
+def no_thread(*args, **kwargs):
+    raise AssertionError("a thread was started")
+
+
+def ladder_branches(seed, shape):
+    """Three FeatureMaps at one ladder shape: two echoing branches and a third."""
+    x1, x2 = branch_pair(seed, shape, 0.0)
+    return [FeatureMap(x) for x in (x1, x2, branch_pair(seed + 1, shape, 0.0)[1])]
+
+
+def fold_bytes(fold):
+    """Every map of a FoldResult as bytes: f_eff, the updated branches and each selection."""
+    maps = [fold.f_eff.data, *(u.data for u in fold.updated)]
+    return [m.tobytes() for m in maps] + [r.selection.codes.tobytes() for r in fold.pair_results]
+
+
+def in_forked_child(body, timeout=60.0):
+    """Run body in a forked child and fail unless it returns; a child past timeout is killed."""
+    with warnings.catch_warnings():  # Python 3.12+ warns on forking a threaded process
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            body()
+            status = 0
+        except BaseException:
+            traceback.print_exc()
+        finally:
+            os._exit(status)
+    deadline = time.monotonic() + timeout
+    while (reaped := os.waitpid(pid, os.WNOHANG))[0] == 0:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail(f"the forked child ran past {timeout} s and was killed")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(reaped[1]) == 0, "the forked child failed (its stderr above)"
+
+
 class TestBlockRunner:
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize("shape", LADDER_SHAPES)
@@ -392,11 +438,15 @@ class TestBlockRunner:
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize("raiser", ["helper", "caller"])
     def test_exception_reaches_the_caller_after_every_helper_joined(self, workers, raiser, run):
+        begun, ended = [], []
+
         def fail(rows):
             raise KeyError(rows.start)
 
         def linger(rows):
+            begun.append(rows)
             time.sleep(0.2)  # still running when the other thread fails
+            ended.append(rows)
 
         def fail_late(rows):
             linger(rows)
@@ -404,10 +454,14 @@ class TestBlockRunner:
 
         blocks = {"caller": (fail, linger), "helper": (lambda rows: None, fail_late)}
         fn = helper_and_caller(*blocks[raiser])
-        before = set(threading.enumerate())
+        before, helpers = set(threading.enumerate()), len(stats._helpers)
         with small_blocks((1, 40, 2), 2), n_workers(workers), pytest.raises(KeyError):
             RUNS[run](fn)
-        assert set(threading.enumerate()) == before
+        lingered = len(begun), len(ended)  # as the KeyError was caught
+        assert lingered[0] >= 1 and lingered[0] == lingered[1]
+        # the helpers stay for the next call; the call added no other thread, nor more helpers
+        assert set(threading.enumerate()) - before <= set(stats._helpers)
+        assert len(stats._helpers) <= max(helpers, workers - 1)
 
     @pytest.mark.parametrize("run", RUNS)
     @pytest.mark.parametrize("workers", [2, 3])
@@ -419,9 +473,6 @@ class TestBlockRunner:
         assert seen and set(seen) == {"raise"}
 
     def test_one_block_maps_start_no_thread(self, monkeypatch):
-        def no_thread(*args, **kwargs):
-            raise AssertionError("a one-block map started a thread")
-
         monkeypatch.setattr(stats, "_WORKERS", 3)
         monkeypatch.setattr(threading, "Thread", no_thread)
         x1, x2 = branch_pair(9, (1280, 8, 8), 0.0)
@@ -430,6 +481,84 @@ class TestBlockRunner:
         f1, f2 = (FeatureMap(x) for x in branch_pair(10, (8, 16, 16), 0.0))
         merge_pair(f1, f2)
         sample(preset_scenario("three_way"))
+
+    def test_one_worker_starts_no_thread(self, monkeypatch):
+        fs = ladder_branches(15, (640, 32, 32))  # as under taskset -c 0
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        with n_workers(1):
+            maxfusion_fold(fs)
+            assert_maps_bit_identical(fs[0].data, fs[1].data)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_a_second_call_starts_no_thread(self, workers, monkeypatch):
+        fs = ladder_branches(16, (640, 32, 32))
+        with n_workers(workers):
+            want = fold_bytes(maxfusion_fold(fs))  # starts the helpers this count needs
+            monkeypatch.setattr(threading, "Thread", no_thread)
+            assert fold_bytes(maxfusion_fold(fs)) == want
+            assert_maps_bit_identical(fs[0].data, fs[1].data)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_hundred_folds_leave_at_most_one_helper_per_spare_worker(self):
+        fs = ladder_branches(17, (1280, 16, 16))
+
+        def child():
+            with n_workers(3):
+                for _ in range(100):
+                    maxfusion_fold(fs)
+                assert 1 <= len(stats._helpers) <= stats._WORKERS - 1
+            assert set(threading.enumerate()) == {threading.current_thread(), *stats._helpers}
+            assert all(t.is_alive() and t.daemon for t in stats._helpers)
+
+        in_forked_child(child)
+
+    def test_a_call_from_inside_a_part_completes(self):
+        done = []
+
+        def outer(i):
+            stats._each(lambda j: done.append((i, j)), list(range(5)))
+
+        with n_workers(3):
+            caller = threading.Thread(target=stats._each, args=(outer, list(range(6))), daemon=True)
+            caller.start()
+            caller.join(30)
+        assert not caller.is_alive()
+        assert sorted(done) == [(i, j) for i in range(6) for j in range(5)]
+
+    def test_two_threads_folding_at_once_match_a_serial_fold(self):
+        fs = ladder_branches(18, (640, 32, 32))
+        with n_workers(1):
+            want = fold_bytes(maxfusion_fold(fs))
+        got, start = {0: [], 1: []}, threading.Barrier(2)
+
+        def folds(k):
+            start.wait()
+            got[k].extend(fold_bytes(maxfusion_fold(fs)) for _ in range(5))
+
+        with n_workers(3):
+            callers = [threading.Thread(target=folds, args=(k,), daemon=True) for k in got]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(60)
+        assert not any(t.is_alive() for t in callers)
+        assert got[0] == got[1] == [want] * 5
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_folds_bit_identically_on_its_own_helpers(self):
+        fs = ladder_branches(19, (1280, 16, 16))
+        with n_workers(3):
+            want = fold_bytes(maxfusion_fold(fs))
+        assert stats._helpers  # the child inherits none of them
+
+        def child():
+            assert stats._helpers == []
+            with n_workers(3):
+                assert fold_bytes(maxfusion_fold(fs)) == want
+            assert stats._helpers and all(t.is_alive() for t in stats._helpers)
+            assert set(threading.enumerate()) == {threading.current_thread(), *stats._helpers}
+
+        in_forked_child(child)
 
 
 # -- the slab pass: merge_pair's select and the unmerge rescale -----------------
@@ -619,9 +748,6 @@ class TestSlabPass:
             unmerge_pair(branches[0], branches[1], last)
 
     def test_one_slab_maps_start_no_thread(self, monkeypatch):
-        def no_thread(*args, **kwargs):
-            raise AssertionError("a one-slab map started a thread")
-
         x1, x2 = branch_pair(13, (1280, 8, 8), 0.0)
         x3 = branch_pair(14, (1280, 8, 8), 0.0)[1]
         monkeypatch.setattr(stats, "_WORKERS", 3)

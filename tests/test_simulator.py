@@ -18,6 +18,7 @@ from maxfusion import (
     FeatureMap,
     NoiseSchedule,
     Scenario,
+    SelectionStats,
     SpatialMap,
     analytic_score,
     branch_embedding,
@@ -500,6 +501,16 @@ class TestEntryPointArguments:
                      "s must be a Scenario, got an object", id="scenario_to_dict"),
         pytest.param(lambda: analytic_score(np.zeros(2), 0, None),
                      "schedule must be a NoiseSchedule, got None", id="analytic_score"),
+        pytest.param(lambda: analytic_score(np.zeros(2), 0, NoiseSchedule.linear(), prior_mean=None),
+                     "prior_mean must be finite and real, got None", id="prior_mean_none"),
+        pytest.param(lambda: analytic_score(np.zeros(2), 0, NoiseSchedule.linear(), prior_std="a"),
+                     "prior_std must be finite and real, got 'a'", id="prior_std_str"),
+        pytest.param(lambda: analytic_score(np.zeros(2), 0, NoiseSchedule.linear(), 0.0, math.inf),
+                     "prior_std must be finite and real, got inf", id="prior_std_inf"),
+        pytest.param(lambda: SelectionStats.from_mask({}),
+                     "mask must be a SelectionMask, got an object", id="from_mask_dict"),
+        pytest.param(lambda: SelectionStats.from_mask(np.zeros((2, 2), np.int8)),
+                     "mask must be a SelectionMask, got an array", id="from_mask_array"),
     ])
     def test_wrong_kind_named(self, call, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
