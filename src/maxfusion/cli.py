@@ -259,15 +259,15 @@ def _md_row(cells: list[str]) -> str:
 def cmd_compare(args) -> int:
     scn = _scenario_from_args(args)
     n = len(scn.branches)
-    variants = [(s, replace(scn, strategy=s)) for s in ("naive", "max_select", "maxfusion")]
-    variants += [(f"single({b})", replace(scn, strategy="single", single_branch=b))
-                 for b in range(n)]
-    variants.append(("unconditional", replace(scn, strategy="unconditional")))
+    # each variant copies the branch arrays, so it is built only when its run starts
+    variants = [(s, dict(strategy=s)) for s in ("naive", "max_select", "maxfusion")]
+    variants += [(f"single({b})", dict(strategy="single", single_branch=b)) for b in range(n)]
+    variants.append(("unconditional", dict(strategy="unconditional")))
 
     out = _out_dir(args)
     reports = {}
-    for label, variant in variants:
-        reports[label] = sample(variant)
+    for label, changes in variants:
+        reports[label] = sample(replace(scn, **changes))
         if label == "maxfusion":
             # the maxfusion run again: sample() never unmerges, so the loser rescale
             # cannot change it; bench/reference_digests.json still hashes this row

@@ -137,7 +137,7 @@ def branch_embedding(channels: int, index: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Branch:
-    """One synthetic conditioning branch.
+    """One synthetic conditioning branch, checked when it enters a Scenario.
 
     mask: (H, W) spatial support in [0, 1].
     target: (H, W) desired image content inside the mask.
@@ -150,32 +150,15 @@ class Branch:
     embedding: np.ndarray
     strength: float = 1.0
 
-    def __post_init__(self):
-        for key in ("mask", "target", "embedding"):  # each a new array, frozen before its checks
-            arr = _real_array(f"branch field '{key}'", getattr(self, key))
-            object.__setattr__(self, key, _freeze(arr))
-        mask, target, emb = self.mask, self.target, self.embedding
-        if mask.ndim != 2:
-            raise ValueError("branch field 'mask' must be a 2-D (H, W) array")
-        if target.shape != mask.shape:
-            raise ValueError(
-                f"branch field 'target' shape {target.shape} != mask shape {mask.shape}"
-            )
-        if emb.ndim != 1:
-            raise ValueError("branch field 'embedding' must be a 1-D C-vector")
-        if not ((mask >= 0.0) & (mask <= 1.0)).all():
-            raise ValueError("branch field 'mask' must lie in [0, 1]")
-        if (strength := _real("branch field 'strength'", self.strength)) <= 0:
-            raise ValueError(f"branch field 'strength' must be > 0, got {strength}")
-        object.__setattr__(self, "strength", strength)
-
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
     """Complete specification of one toy-diffusion run.
 
     The value rules live here for Python and JSON callers alike, each
-    error naming its field; sizes are bounded before any allocation.
+    error naming its field by its JSON path (``branches[1].mask``); sizes
+    are bounded before any allocation.  Each branch is stored as a new
+    Branch of frozen float64 copies, also through dataclasses.replace.
     """
 
     height: int
@@ -202,8 +185,7 @@ class Scenario:
                 raise _bad(key, f"in [1, {hi}]", value)
         _instance("scenario field 'schedule'", self.schedule, NoiseSchedule)
         branches = _instance("scenario field 'branches'", self.branches, (list, tuple))
-        object.__setattr__(self, "branches", tuple(branches))
-        n = max(1, len(self.branches))  # sample() holds every branch's feature at once
+        n = max(1, len(branches))  # sample() holds every branch's feature at once
         if n * self.channels * self.height * self.width > MAX_FEATURE_VALUES:
             raise ValueError(
                 f"scenario fields 'channels' * 'height' * 'width' * 'branches' (at least 1) "
@@ -218,27 +200,36 @@ class Scenario:
                 raise _bad(key, ">= 0", value)
         if self.strategy not in STRATEGIES:
             raise _bad("strategy", f"one of {STRATEGIES}", self.strategy)
-        if self.strategy == "single" and self.single_branch >= len(self.branches):
+        if self.strategy == "single" and self.single_branch >= len(branches):
             raise ValueError(
                 f"scenario field 'single_branch' must index a branch, got {self.single_branch}"
             )
+        grid = (self.height, self.width)
+        shapes = {"mask": grid, "target": grid, "embedding": (self.channels,)}
         u = np.full(self.channels, 1.0 / self.channels)
-        for i, br in enumerate(self.branches):
-            if _instance(f"branch {i}", br, Branch).mask.shape != (self.height, self.width):
+        checked = []
+        for i, br in enumerate(branches):
+            path = f"branches[{i}]"
+            _instance(f"scenario field '{path}'", br, Branch)
+            arrays = {}
+            for key, shape in shapes.items():  # each a new array, frozen once its shape fits
+                arr = _real_array(f"scenario field '{path}.{key}'", getattr(br, key))
+                if arr.shape != shape:
+                    raise ValueError(
+                        f"scenario field '{path}.{key}' must have shape {shape}, got {arr.shape}"
+                    )
+                arrays[key] = _freeze(arr)
+            if not ((arrays["mask"] >= 0.0) & (arrays["mask"] <= 1.0)).all():
+                raise ValueError(f"scenario field '{path}.mask' must lie in [0, 1]")
+            if (strength := _real(f"scenario field '{path}.strength'", br.strength)) <= 0:
+                raise _bad(f"{path}.strength", "> 0", strength)
+            if abs((dot := float(u @ arrays["embedding"])) - 1.0) > 1e-6:
                 raise ValueError(
-                    f"branch {i} field 'mask' shape {br.mask.shape} != "
-                    f"scenario grid ({self.height}, {self.width})"
-                )
-            if br.embedding.shape != (self.channels,):
-                raise ValueError(
-                    f"branch {i} field 'embedding' length {br.embedding.size} != "
-                    f"scenario channels {self.channels}"
-                )
-            if abs((dot := float(u @ br.embedding)) - 1.0) > 1e-6:
-                raise ValueError(
-                    f"branch {i} field 'embedding' violates the read-out identity: "
+                    f"scenario field '{path}.embedding' violates the read-out identity: "
                     f"<u, w> = {dot!r}, expected 1 within 1e-6"
                 )
+            checked.append(Branch(**arrays, strength=strength))
+        object.__setattr__(self, "branches", tuple(checked))
 
 
 @dataclass(frozen=True)
@@ -484,9 +475,9 @@ def run_ablation(scenario: Scenario, deltas) -> tuple[RunReport, ...]:
     _instance("scenario", scenario, Scenario)
     if not _instance("deltas", deltas, (list, tuple)):
         raise ValueError("need at least one delta")
-    # every delta is checked (by Scenario) before the first run
-    runs = [replace(scenario, strategy="maxfusion", delta=d) for d in deltas]
-    return tuple(map(sample, runs))
+    deltas = [_real("delta", d) for d in deltas]  # every delta is checked before the first run
+    # each variant copies the branch arrays, so it is built only when its run starts
+    return tuple(sample(replace(scenario, strategy="maxfusion", delta=d)) for d in deltas)
 
 
 def _rect(h: int, w: int, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
@@ -525,14 +516,6 @@ def preset_scenario(name: str) -> Scenario:
     return Scenario(height=h, width=w, branches=branches)
 
 
-def _as_is(value, path: str):  # an integer or the strategy: the constructor checks it
-    return value
-
-
-def _number(value, path: str) -> float:  # named by its JSON path, before any constructor
-    return _real(f"scenario field '{path}'", value)
-
-
 def _typed(value, path: str, kind: type, want: str):
     """A JSON value of one type, passed through unchanged."""
     if not isinstance(value, kind):
@@ -544,88 +527,78 @@ _object = partial(_typed, kind=dict, want="an object")
 _array = partial(_typed, kind=list, want="an array")
 
 
-def _float_array(value, path: str) -> np.ndarray:  # a JSON array, then the array rule
-    return _real_array(f"scenario field '{path}'", _array(value, path))
+def _present(d: dict, prefix: str, keys: tuple, required=(), nested=()) -> dict:
+    """The keys of d that keys names, values as they are; absent keys keep their defaults.
 
-
-def _present(d: dict, prefix: str, converters: dict, required=(), nested=()) -> dict:
-    """Convert the keys of d that converters names; absent keys keep their defaults.
-
-    Any other key, unless the caller converts it (``nested``), is rejected.
+    Any other key, unless the caller reads it (``nested``), is rejected.
     """
-    known = [*converters, *nested]
+    known = [*keys, *nested]
     if unknown := [key for key in d if key not in known]:
         raise ValueError(f"scenario field '{prefix}{unknown[0]}' is not one of: {', '.join(known)}")
     for key in required:
         if key not in d:
             raise ValueError(f"scenario field '{prefix}{key}' is required")
-    return {key: conv(d[key], prefix + key) for key, conv in converters.items() if key in d}
+    return {key: d[key] for key in keys if key in d}
 
 
-_SCENARIO_FIELDS = {
-    "height": _as_is,
-    "width": _as_is,
-    "channels": _as_is,
-    "guidance_weight": _number,
-    "prior_mean": _number,
-    "prior_std": _number,
-    "seed": _as_is,
-    "strategy": _as_is,
-    "single_branch": _as_is,
-}
-_LINEAR_SCHEDULE_FIELDS = {"steps": _as_is, "beta_start": _number, "beta_end": _number}
-#: JSON nests Scenario.delta as fusion.delta
-_FUSION_FIELDS = {"delta": _number}
+_SCENARIO_KEYS = (
+    "height", "width", "channels", "guidance_weight", "prior_mean", "prior_std", "seed",
+    "strategy", "single_branch",
+)
+_LINEAR_SCHEDULE_KEYS = ("steps", "beta_start", "beta_end")
 _BRANCH_REQUIRED = ("mask", "target", "embedding")
-_BRANCH_FIELDS = {**dict.fromkeys(_BRANCH_REQUIRED, _float_array), "strength": _number}
+_BRANCH_KEYS = (*_BRANCH_REQUIRED, "strength")
 
 
-def _fields(obj, converters: dict) -> dict:
-    """obj's attributes named by a loader table, arrays as nested lists."""
-    values = {key: getattr(obj, key) for key in converters}
+def _fields(obj, keys: tuple) -> dict:
+    """obj's attributes named by a loader key tuple, arrays as nested lists."""
+    values = {key: getattr(obj, key) for key in keys}
     return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in values.items()}
 
 
 def scenario_to_dict(s: Scenario) -> dict:
-    """Mirror a Scenario as a JSON-ready dict with the keys scenario_from_dict converts."""
+    """Mirror a Scenario as a JSON-ready dict with the keys scenario_from_dict reads."""
     _instance("s", s, Scenario)
     return {
-        **_fields(s, _SCENARIO_FIELDS),
+        **_fields(s, _SCENARIO_KEYS),
         "schedule": {"betas": s.schedule.betas.tolist()},
-        "fusion": _fields(s, _FUSION_FIELDS),
-        "branches": [_fields(br, _BRANCH_FIELDS) for br in s.branches],
+        "fusion": {"delta": s.delta},
+        "branches": [_fields(br, _BRANCH_KEYS) for br in s.branches],
     }
 
 
 def scenario_from_dict(d: dict) -> Scenario:
     """Build and validate a Scenario from a JSON-shaped dict.
 
-    Only the keys present are converted, each by the converter of its
-    JSON type, and a wrong type names the dotted field path
-    (``fusion.delta``, ``branches[0].mask``), as does a key that no
-    converter takes.  Integer types, ranges, sizes, indices and the
-    strategy name are checked by the constructors the values reach
-    (Scenario, NoiseSchedule, Branch), which name the field the same way.  ``fusion.delta`` fills
+    The loader checks only the structure: that each object and array
+    field holds a JSON object or array, that every required key is
+    present, and that no unknown key is (each named by its dotted path,
+    such as ``fusion.detla``).  Values pass to the constructors as they
+    are, and Scenario and NoiseSchedule check them under the same JSON
+    path (``height``, ``schedule.steps``, ``branches[0].mask``).  The one
+    exception is ``fusion.delta``, checked here because it fills
     Scenario.delta.  Absent keys take their defaults.  The schedule
     accepts either an explicit {"betas": [...]} list or linear parameters
     {"steps", "beta_start", "beta_end"}, never both.
     """
     if not isinstance(d, dict):
         raise ValueError(f"a scenario must be a JSON object, got {type(d).__name__}")
-    kw = _present(d, "", _SCENARIO_FIELDS, ("height", "width"), ("schedule", "fusion", "branches"))
+    kw = _present(d, "", _SCENARIO_KEYS, ("height", "width"), ("schedule", "fusion", "branches"))
     if "schedule" in d:
         sched_d = _object(d["schedule"], "schedule")
         if "betas" in sched_d:
-            kw["schedule"] = NoiseSchedule(**_present(sched_d, "schedule.", {"betas": _float_array}))
+            kw["schedule"] = NoiseSchedule(**_present(sched_d, "schedule.", ("betas",)))
         else:
-            fields = _present(sched_d, "schedule.", _LINEAR_SCHEDULE_FIELDS)
+            fields = _present(sched_d, "schedule.", _LINEAR_SCHEDULE_KEYS)
             kw["schedule"] = NoiseSchedule.linear(**fields)
     if "fusion" in d:
-        kw.update(_present(_object(d["fusion"], "fusion"), "fusion.", _FUSION_FIELDS))
+        fusion = _present(_object(d["fusion"], "fusion"), "fusion.", ("delta",))
+        if "delta" in fusion:
+            kw["delta"] = _real("scenario field 'fusion.delta'", fusion["delta"])
     if "branches" in d:
         kw["branches"] = []
         for i, bd in enumerate(_array(d["branches"], "branches")):
             bd = _object(bd, f"branches[{i}]")
-            fields = _present(bd, f"branches[{i}].", _BRANCH_FIELDS, required=_BRANCH_REQUIRED)
+            fields = _present(bd, f"branches[{i}].", _BRANCH_KEYS, required=_BRANCH_REQUIRED)
             kw["branches"].append(Branch(**fields))
     return Scenario(**kw)

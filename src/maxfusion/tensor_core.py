@@ -223,9 +223,12 @@ def make_feature_map(
     is not an integer >= 1, data the array rule rejects (a non-finite
     element is reported by flat index) or a length mismatch.
     """
+    dims = []  # Python ints, so the product below cannot wrap as a numpy integer's would
     for name, n in (("channels", channels), ("height", height), ("width", width)):
-        if _integer(name, n) < 1:
+        dims.append(_integer(name, n))
+        if dims[-1] < 1:
             raise ValueError(f"{name} must be >= 1, got {n}")
+    channels, height, width = dims
     flat = _real_array("FeatureMap data", data, np.float32).ravel()
     expected = channels * height * width
     if flat.size != expected:

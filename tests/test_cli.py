@@ -10,6 +10,7 @@ import struct
 import tempfile
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -458,6 +459,20 @@ class TestScenarioFieldTypes:
         assert capsys.readouterr().err.startswith(f"error: scenario field '{field}' must be ")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("i, key, value, says", [
+        (2, "mask", np.full((16, 16), 2.0).tolist(), "must lie in [0, 1]"),
+        (1, "strength", -1, "must be > 0, got -1.0"),
+        (1, "target", np.zeros((16, 15)).tolist(), "must have shape (16, 16), got (16, 15)"),
+    ], ids=["mask_range", "strength", "target_shape"])
+    def test_bad_branch_exits_2_naming_its_index(self, i, key, value, says, tmp_path, capsys):
+        d = scenario_to_dict(preset_scenario("three_way"))
+        d["branches"][i][key] = value
+        p = tmp_path / "scn.json"
+        p.write_text(json.dumps(d))
+        assert main(["simulate", "--scenario", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: scenario field 'branches[{i}].{key}' {says}\n"
+        assert not (tmp_path / "o").exists()
+
 
 UNKNOWN_SCENARIO_KEYS = [
     # (dotted path the error names, key path set in the preset's JSON, value)
@@ -717,6 +732,19 @@ class TestAblateCommand:
 
 
 class TestCompareCommand:
+    def test_one_variant_scenario_alive_at_a_time(self, tmp_path, monkeypatch):
+        # each variant copies the branch arrays, so none outlives its run
+        runs = []
+
+        def sample_alone(scn):
+            assert all(ref() is None for ref in runs)
+            runs.append(weakref.ref(scn))
+            return simulator.sample(scn)
+
+        monkeypatch.setattr(cli, "sample", sample_alone)
+        assert main(["compare", "--preset", "three_way", "--out", str(tmp_path / "o")]) == 0
+        assert len(runs) == 7  # naive, max_select, maxfusion, three singles, unconditional
+
     def test_default_preset_reports_all_strategies(self, tmp_path):
         out = tmp_path / "o"
         assert main(["compare", "--preset", "contradictory", "--out", str(out)]) == 0

@@ -2,6 +2,7 @@ import copy
 import math
 import re
 import warnings
+import weakref
 from dataclasses import replace
 from itertools import product
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 import oracles
 from scenario_json import SUBSTITUTES, blamed_key, key_paths, small_scenario_dicts, substituted
+from maxfusion import simulator
 from maxfusion import (
     AVERAGED,
     Branch,
@@ -277,6 +279,11 @@ class TestEmbeddings:
             )
 
 
+def _stored_branch(br: Branch) -> Branch:
+    """The checked copy of br that a 2x2, 2-channel Scenario stores."""
+    return Scenario(2, 2, channels=2, branches=[br]).branches[0]
+
+
 def _first_leaf_replaced(shape, leaf):
     """A nested list of 0.5s of shape, its first element replaced by leaf."""
     nested = np.full(shape, 0.5).tolist()
@@ -297,17 +304,45 @@ class TestScenarioValidation:
             tiny_scenario(guidance_weight=-1.0)
 
     def test_mask_grid_mismatch_names_branch(self):
-        with pytest.raises(ValueError, match="branch 0.*mask"):
+        message = "scenario field 'branches[0].mask' must have shape (8, 6), got (6, 6)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             tiny_scenario(height=8)
 
-    @pytest.mark.parametrize("field, shape, message", [
-        ("mask", (6,), "branch field 'mask' must be a 2-D (H, W) array"),
-        ("embedding", (2, 4), "branch field 'embedding' must be a 1-D C-vector"),
-    ])
-    def test_branch_array_of_wrong_rank_names_its_field(self, field, shape, message):
+    # a wrong rank and a wrong length alike: each array must have the shape the scenario needs
+    @pytest.mark.parametrize("field, shape, want", [
+        ("mask", (6,), (6, 6)),
+        ("target", (6, 5), (6, 6)),
+        ("embedding", (2, 4), (8,)),
+        ("embedding", (4,), (8,)),
+    ], ids=["mask_rank", "target_shape", "embedding_rank", "embedding_length"])
+    def test_branch_array_of_wrong_shape_names_its_field(self, field, shape, want):
         fields = dict(mask=np.ones((6, 6)), target=np.zeros((6, 6)), embedding=np.ones(8))
+        branches = [Branch(**fields), Branch(**{**fields, field: np.ones(shape)})]
+        message = f"scenario field 'branches[1].{field}' must have shape {want}, got {shape}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            Branch(**{**fields, field: np.ones(shape)})
+            Scenario(6, 6, channels=8, branches=branches)
+
+    @pytest.mark.parametrize("changes, message", [
+        (dict(mask=np.full((6, 6), 1.5)), "scenario field 'branches[1].mask' must lie in [0, 1]"),
+        (dict(mask=np.full((6, 6), -0.5)), "scenario field 'branches[1].mask' must lie in [0, 1]"),
+        (dict(strength=0), "scenario field 'branches[1].strength' must be > 0, got 0.0"),
+        (dict(strength=-1), "scenario field 'branches[1].strength' must be > 0, got -1.0"),
+        (dict(embedding=np.full(8, 2.0)), "scenario field 'branches[1].embedding' violates the "
+                                          "read-out identity: <u, w> = 2.0, expected 1 within 1e-6"),
+    ], ids=["mask_above_one", "mask_below_zero", "strength_zero", "strength_negative", "readout"])
+    def test_branch_value_rules_name_the_branch(self, changes, message):
+        fields = dict(mask=np.ones((6, 6)), target=np.zeros((6, 6)), embedding=np.ones(8))
+        branches = [Branch(**fields), Branch(**{**fields, **changes})]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Scenario(6, 6, channels=8, branches=branches)
+
+    def test_branch_is_stored_as_a_new_record(self):
+        br = Branch(np.ones((2, 2)), np.zeros((2, 2)), np.ones(2), strength=np.int64(2))
+        scn = Scenario(2, 2, channels=2, branches=[br])
+        stored, again = scn.branches[0], replace(scn, seed=3).branches[0]
+        assert stored is not br and type(stored.strength) is float
+        assert type(br.strength) is np.int64  # the caller's record stays as it was
+        assert again.mask is not stored.mask and not again.mask.flags.writeable
 
     def test_scenario_that_is_not_an_object_rejected(self):
         with pytest.raises(ValueError, match="^a scenario must be a JSON object, got list$"):
@@ -342,8 +377,10 @@ class TestScenarioValidation:
         "prior_mean": ("scenario field 'prior_mean'", lambda v: Scenario(2, 2, prior_mean=v)),
         "prior_std": ("scenario field 'prior_std'", lambda v: Scenario(2, 2, prior_std=v)),
         "strength": (
-            "branch field 'strength'",
-            lambda v: Branch(np.ones((2, 2)), np.zeros((2, 2)), np.ones(2), strength=v),
+            "scenario field 'branches[0].strength'",
+            lambda v: Scenario(2, 2, channels=2, branches=[
+                Branch(np.ones((2, 2)), np.zeros((2, 2)), np.ones(2), strength=v)
+            ]),
         ),
         "beta_start": (
             "scenario field 'schedule.beta_start'", lambda v: NoiseSchedule.linear(beta_start=v)
@@ -382,15 +419,16 @@ class TestScenarioValidation:
             "FeatureMap data", (4,), lambda v: make_feature_map(1, 2, 2, v).data
         ),
         "mask": (
-            "branch field 'mask'", (2, 2), lambda v: Branch(v, np.zeros((2, 2)), np.ones(2)).mask
+            "scenario field 'branches[0].mask'", (2, 2),
+            lambda v: _stored_branch(Branch(v, np.zeros((2, 2)), np.ones(2))).mask,
         ),
         "target": (
-            "branch field 'target'", (2, 2),
-            lambda v: Branch(np.ones((2, 2)), v, np.ones(2)).target,
+            "scenario field 'branches[0].target'", (2, 2),
+            lambda v: _stored_branch(Branch(np.ones((2, 2)), v, np.ones(2))).target,
         ),
         "embedding": (
-            "branch field 'embedding'", (2,),
-            lambda v: Branch(np.ones((2, 2)), np.zeros((2, 2)), v).embedding,
+            "scenario field 'branches[0].embedding'", (2,),
+            lambda v: _stored_branch(Branch(np.ones((2, 2)), np.zeros((2, 2)), v)).embedding,
         ),
         "betas": ("scenario field 'schedule.betas'", (2,), lambda v: NoiseSchedule(v).betas),
     }
@@ -438,7 +476,9 @@ class TestScenarioValidation:
     @pytest.mark.parametrize("field, dtype", NUMPY_REAL_CASES)
     def test_array_fields_copy_numpy_reals(self, field, dtype):
         _, shape, call = self.ARRAY_FIELDS[field]
-        value = np.full(shape, 0.25) if field == "betas" else np.arange(np.prod(shape)) % 2
+        # the betas lie strictly inside (0, 1); an embedding's mean is 1, by the read-out identity
+        special = {"betas": np.full(shape, 0.25), "embedding": np.arange(np.prod(shape)) * 2}
+        value = special.get(field, np.arange(np.prod(shape)) % 2)
         src = np.asarray(value, dtype=dtype).reshape(shape)
         stored = call(src)
         assert not stored.flags.writeable
@@ -480,7 +520,8 @@ class TestEntryPointArguments:
         pytest.param(lambda: Scenario(2, 2, branches="ab"),
                      "scenario field 'branches' must be a list or tuple, got 'ab'", id="branches_str"),
         pytest.param(lambda: Scenario(2, 2, branches=[_JSON["branches"][0]]),
-                     "branch 0 must be a Branch, got an object", id="branch_dict"),
+                     "scenario field 'branches[0]' must be a Branch, got an object",
+                     id="branch_dict"),
         pytest.param(lambda: sample(tiny_scenario(), record_trace="no"),
                      "record_trace must be True or False, got 'no'", id="record_trace"),
         pytest.param(lambda: sample(tiny_scenario(), record_trace=1),
@@ -706,6 +747,23 @@ class TestAblation:
         rows = run_ablation(scn, [-1.0, 0.0, 0.5, 0.7, 1.0])
         fracs = [r.averaged_fraction for r in rows]
         assert all(a >= b for a, b in zip(fracs, fracs[1:]))
+
+    def test_bad_delta_rejected_before_any_run(self, monkeypatch):
+        monkeypatch.setattr(simulator, "sample", lambda scn: pytest.fail("a run started"))
+        with pytest.raises(ValueError, match="^delta must be finite and real, got nan$"):
+            run_ablation(preset_scenario("contradictory"), [0.5, math.nan])
+
+    def test_one_variant_scenario_alive_at_a_time(self, monkeypatch):
+        # each variant copies the branch arrays, so none outlives its run
+        runs = []
+
+        def sample_alone(scn):
+            assert all(ref() is None for ref in runs)
+            runs.append(weakref.ref(scn))
+            return sample(scn)
+
+        monkeypatch.setattr(simulator, "sample", sample_alone)
+        assert len(run_ablation(preset_scenario("three_way"), [-1.0, 0.7, 2.0])) == len(runs) == 3
 
     def test_empty_delta_list_rejected(self):
         with pytest.raises(ValueError, match="at least one delta"):

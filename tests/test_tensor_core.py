@@ -108,6 +108,18 @@ class TestFeatureMapConstruction:
         fm = make_feature_map(np.int64(2), np.uint8(1), np.int32(1), [1.0, 2.0])
         assert fm.shape == (2, 1, 1)
 
+    @pytest.mark.parametrize("dims", [(4, 2**30, 1), (3, 1431655766, 1)],
+                             ids=["wraps_to_zero", "wraps_to_two"])
+    def test_numpy_integer_dims_multiply_without_wrapping(self, dims):
+        # in int32 the first product wraps to 0 and the second to 2, the data's length
+        expected = dims[0] * dims[1] * dims[2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                ValueError, match=rf"^data length mismatch: expected {expected} values \("
+            ):
+                make_feature_map(*map(np.int32, dims), [1.0, 2.0])
+
     def test_data_copied_not_aliased(self):
         src = np.ones((1, 2, 2), dtype=np.float32)
         fm = FeatureMap(src)
