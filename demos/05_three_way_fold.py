@@ -2,26 +2,35 @@
 
 Three branches with disjoint masks and different targets fold left to
 right: the first two merge, then the third merges into the running
-fused feature.  The sampler needs only those merges; refolding a
-recorded step with maxfusion_fold unmerges too, so every branch leaves
-with an updated feature whose local std matches what it brought in.
+fused feature.  The sampler needs only those merges, and its report
+keeps each merge's three fractions, not the features.  To look at the
+features, the demo encodes the three branches itself against the run's
+final sample, taken as the clean-image estimate, and folds them with
+maxfusion_fold, which unmerges too, so every branch leaves with an
+updated feature whose local std matches what it brought in.
 """
 
 from dataclasses import replace
 
-from maxfusion import channel_std_map, maxfusion_fold, merge_pair, preset_scenario, sample
+from maxfusion import branch_encode, channel_std_map, maxfusion_fold, merge_pair
+from maxfusion import preset_scenario, sample
 
 scn = replace(preset_scenario("three_way"), seed=11)
-rep = sample(scn, record_trace=True)
+rep = sample(scn)
 
 print(f"three branches, targets +2 / -2 / +1, {scn.schedule.steps} steps")
 print("final masked MSE per branch:", tuple(round(m, 4) for m in rep.branch_mse))
 print()
 
-# refold the branch features recorded at one mid-run step
-step = rep.trace[25]
-fold = maxfusion_fold(list(step), scn.delta)
-print(f"fold at step 25 ran {len(fold.pair_results)} pair merges")
+# the run keeps numbers only: each merge event is (averaged, chain wins, incoming wins)
+print("the run's merge events at step 25:",
+      ", ".join(" / ".join(f"{f:.2f}" for f in event) for event in rep.step_stats[25]))
+print()
+
+# encode every branch against the final sample and fold the encodings
+step = [branch_encode(scn, b, rep.final_sample) for b in range(len(scn.branches))]
+fold = maxfusion_fold(step, scn.delta)
+print(f"fold at x0_hat = final sample ran {len(fold.pair_results)} pair merges")
 for i, pair in enumerate(fold.pair_results):
     wins = pair.selection.win_fractions()
     print(f"  pair {i}: averaged {pair.selection.averaged_fraction():.2f}, "

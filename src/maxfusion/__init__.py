@@ -39,7 +39,6 @@ from .simulator import (
     NoiseSchedule,
     RunReport,
     Scenario,
-    SelectionStats,
     analytic_score,
     branch_embedding,
     branch_encode,
@@ -66,7 +65,6 @@ __all__ = [
     "STRATEGIES",
     "Scenario",
     "SelectionMask",
-    "SelectionStats",
     "SpatialMap",
     "TensorFormatError",
     "analytic_score",

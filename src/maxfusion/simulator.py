@@ -39,8 +39,8 @@ from functools import partial
 import numpy as np
 
 from .fusion import DEFAULT_DELTA, MAX_SELECT_DELTA, _merge_chain, naive_average
-from .tensor_core import FeatureMap, SelectionMask, _check_finite, _freeze, _integer, _real
-from .tensor_core import _flag, _instance, _real_array, _shown
+from .tensor_core import FeatureMap, _check_finite, _freeze, _instance, _integer, _real
+from .tensor_core import _real_array, _shown
 
 STRATEGIES = ("maxfusion", "naive", "max_select", "single", "unconditional")
 #: Each preset branch: its mask rectangle (rows r0:r1, columns c0:c1) and constant target.
@@ -96,10 +96,12 @@ class NoiseSchedule:
     def linear(cls, steps: int = 50, beta_start: float = 1e-4, beta_end: float = 0.02):
         if not 1 <= (steps := _integer("scenario field 'schedule.steps'", steps)) <= MAX_STEPS:
             raise _bad("schedule.steps", f"in [1, {MAX_STEPS}]", steps)
+        bounds = []  # floats: np.float32 bounds would make linspace step in float32
         for key, beta in (("beta_start", beta_start), ("beta_end", beta_end)):
-            if not 0.0 < _real(f"scenario field 'schedule.{key}'", beta) < 1.0:
+            if not 0.0 < (real := _real(f"scenario field 'schedule.{key}'", beta)) < 1.0:
                 raise _bad(f"schedule.{key}", "a number in (0, 1)", beta)
-        return cls(np.linspace(beta_start, beta_end, steps))
+            bounds.append(real)
+        return cls(np.linspace(*bounds, steps))
 
 
 def _hadamard_row(size: int, k: int) -> np.ndarray:
@@ -119,6 +121,8 @@ def branch_embedding(channels: int, index: int) -> np.ndarray:
     channels, index = _integer("channels", channels), _integer("index", index)
     if channels < 2:
         raise ValueError("need at least 2 channels for a non-degenerate embedding")
+    if channels > MAX_CHANNELS:  # before _hadamard_row builds a list of that many signs
+        raise ValueError(f"channels must be <= {MAX_CHANNELS}, got {channels}")
     if index < 0:
         raise ValueError(f"index must be >= 0, got {index}")
     k = index + 1
@@ -204,20 +208,19 @@ class Scenario:
             raise ValueError(
                 f"scenario field 'single_branch' must index a branch, got {self.single_branch}"
             )
-        grid = (self.height, self.width)
-        shapes = {"mask": grid, "target": grid, "embedding": (self.channels,)}
+        grid = (self.height, self.width), "'height' and 'width'"
+        shapes = {"mask": grid, "target": grid, "embedding": ((self.channels,), "'channels'")}
         u = np.full(self.channels, 1.0 / self.channels)
         checked = []
         for i, br in enumerate(branches):
             path = f"branches[{i}]"
             _instance(f"scenario field '{path}'", br, Branch)
             arrays = {}
-            for key, shape in shapes.items():  # each a new array, frozen once its shape fits
+            for key, (shape, source) in shapes.items():  # each a new array, frozen once it fits
                 arr = _real_array(f"scenario field '{path}.{key}'", getattr(br, key))
                 if arr.shape != shape:
-                    raise ValueError(
-                        f"scenario field '{path}.{key}' must have shape {shape}, got {arr.shape}"
-                    )
+                    raise ValueError(f"scenario field '{path}.{key}' must have shape {shape} "
+                                     f"from {source}, got {arr.shape}")
                 arrays[key] = _freeze(arr)
             if not ((arrays["mask"] >= 0.0) & (arrays["mask"] <= 1.0)).all():
                 raise ValueError(f"scenario field '{path}.mask' must lie in [0, 1]")
@@ -232,46 +235,35 @@ class Scenario:
         object.__setattr__(self, "branches", tuple(checked))
 
 
-@dataclass(frozen=True)
-class SelectionStats:
-    """Aggregate of one merge event's selection mask."""
-
-    averaged_fraction: float
-    win_fractions: tuple[float, ...]
-
-    @classmethod
-    def from_mask(cls, mask: SelectionMask) -> "SelectionStats":
-        averaged, *wins = _instance("mask", mask, SelectionMask)._fractions()
-        return cls(averaged, tuple(wins))
-
-
 @dataclass(eq=False)
 class RunReport:
-    """Outcome of one simulator run; delta is the correlation gate it fused at."""
+    """Outcome of one simulator run; delta is the correlation gate it fused at.
+
+    step_stats has one tuple of merge events per step, t = T-1 first; an
+    event is one selection mask's (averaged, branch 0 wins, branch 1 wins).
+    """
 
     final_sample: np.ndarray
     branch_mse: tuple[float, ...]
-    step_stats: tuple[tuple[SelectionStats, ...], ...]
+    step_stats: tuple[tuple[tuple[float, float, float], ...], ...]
     seed: int
     strategy: str
     delta: float | None
-    # when recorded, each step's branch features; maxfusion_fold(list(step), delta) refolds one
-    trace: tuple[tuple[FeatureMap, ...], ...] | None = None
 
     @property
     def averaged_fraction(self) -> float:
         """Mean averaged fraction over all merge events; NaN if none occurred."""
-        fracs = [ev.averaged_fraction for step in self.step_stats for ev in step]
+        fracs = [ev[0] for step in self.step_stats for ev in step]
         return float(np.mean(fracs)) if fracs else math.nan
 
     def per_step_averaged_fraction(self) -> tuple[float, ...]:
         return tuple(
-            float(np.mean([ev.averaged_fraction for ev in step])) if step else math.nan
+            float(np.mean([ev[0] for ev in step])) if step else math.nan
             for step in self.step_stats
         )
 
     def same_outputs(self, other: "RunReport") -> bool:
-        """Equality of everything reproducible (the trace excluded)."""
+        """Equality of every field, the final sample compared by value."""
         return (
             self.seed == other.seed
             and self.strategy == other.strategy
@@ -357,11 +349,11 @@ def _apply_strategy(scenario: Scenario, delta: float | None, feats: tuple[Featur
         if len(feats) == 1:
             return feats[0], ()
         pairs = _merge_chain(feats, delta)
-        return pairs[-1].f_eff, tuple(SelectionStats.from_mask(r.selection) for r in pairs)
+        return pairs[-1].f_eff, tuple(r.selection._fractions() for r in pairs)
     if strat == "naive":
         # one all-averaged merge event, so the stats line up with a
         # maxfusion run at the same gate
-        return naive_average(list(feats)), (SelectionStats(1.0, (0.0,) * len(feats)),)
+        return naive_average(list(feats)), ((1.0, 0.0, 0.0),)
     # single is all that is left: Scenario admits only STRATEGIES, and unconditional never fuses
     return feats[scenario.single_branch], ()
 
@@ -376,7 +368,7 @@ def _encode_branches(scenario: Scenario, x0_hat: np.ndarray, t: int) -> tuple[Fe
     return tuple(feats)
 
 
-def sample(scenario: Scenario, record_trace: bool = False) -> RunReport:
+def sample(scenario: Scenario) -> RunReport:
     """Run the full guided ancestral loop and score the result.
 
     Steps go t = T-1 .. 0.  Each step estimates the clean image from the
@@ -394,7 +386,6 @@ def sample(scenario: Scenario, record_trace: bool = False) -> RunReport:
     overflow warnings.
     """
     sched = _instance("scenario", scenario, Scenario).schedule
-    record_trace = _flag("record_trace", record_trace)
     steps = sched.steps
     rng = np.random.default_rng(scenario.seed)
     shape = (scenario.height, scenario.width)
@@ -402,8 +393,7 @@ def sample(scenario: Scenario, record_trace: bool = False) -> RunReport:
     lam = scenario.guidance_weight
     delta = _gate(scenario)
     conditioned = scenario.strategy != "unconditional" and len(scenario.branches) > 0
-    step_stats: list[tuple[SelectionStats, ...]] = []
-    trace: list[tuple[FeatureMap, ...]] = []
+    step_stats = []
 
     # overflow surfaces as the ValueErrors below, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
@@ -412,8 +402,7 @@ def sample(scenario: Scenario, record_trace: bool = False) -> RunReport:
         for t in range(steps - 1, -1, -1):
             score = analytic_score(x, t, sched, scenario.prior_mean, scenario.prior_std)
             s_eff = score
-            feats: tuple[FeatureMap, ...] = ()
-            events: tuple[SelectionStats, ...] = ()
+            events = ()
             if conditioned:
                 abar = float(sched.alpha_bar[t])
                 x0_hat = (x + (1.0 - abar) * score) / math.sqrt(abar)
@@ -428,8 +417,6 @@ def sample(scenario: Scenario, record_trace: bool = False) -> RunReport:
             else:
                 x = mean
             step_stats.append(events)
-            if record_trace:
-                trace.append(feats)
     # earlier states are checked by the next step's float32 encoding; NaN fails here too
     if not (np.abs(x) <= np.finfo(np.float32).max).all():
         raise ValueError("sampler diverged: the final sample is non-finite in float32")
@@ -441,7 +428,6 @@ def sample(scenario: Scenario, record_trace: bool = False) -> RunReport:
         seed=scenario.seed,
         strategy=scenario.strategy,
         delta=delta,
-        trace=tuple(trace) if record_trace else None,
     )
 
 

@@ -13,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 
 import oracles
+from sampled_steps import sample_with_steps
 from maxfusion import (
     AVERAGED,
     FeatureMap,
@@ -216,10 +217,10 @@ def test_criterion_08_complementary_averaging_path():
     """On the complementary preset at delta = 0.7 the averaged fraction
     inside the overlap region exceeds 0.5 at every step."""
     scn = preset_scenario("complementary")
-    rep = sample(scn, record_trace=True)
+    _, steps = sample_with_steps(scn)
     overlap = (scn.branches[0].mask > 0) & (scn.branches[1].mask > 0)
     fractions = []
-    for ts in rep.trace:
+    for ts in steps:
         codes = maxfusion_fold(list(ts), scn.delta).pair_results[0].selection.codes
         fractions.append(float(np.mean(codes[overlap] == AVERAGED)))
     assert min(fractions) > 0.5
@@ -242,11 +243,11 @@ def test_criterion_10_three_modality_fold():
     satisfy the scalar fold oracle, all three branch MSEs are reported,
     and a 2-branch fold equals the direct pair path bit-exactly."""
     scn = preset_scenario("three_way")
-    rep = sample(scn, record_trace=True)
+    rep, steps = sample_with_steps(scn)
     assert len(rep.branch_mse) == 3
     assert all(m >= 0 for m in rep.branch_mse)
     for step_idx in (0, 20, 49):
-        step = rep.trace[step_idx]
+        step = steps[step_idx]
         fold = maxfusion_fold(list(step), scn.delta)
         feats = [f.data for f in step]
         oeff, oupd, _ = oracles.fold(feats, scn.delta, True)

@@ -462,7 +462,8 @@ class TestScenarioFieldTypes:
     @pytest.mark.parametrize("i, key, value, says", [
         (2, "mask", np.full((16, 16), 2.0).tolist(), "must lie in [0, 1]"),
         (1, "strength", -1, "must be > 0, got -1.0"),
-        (1, "target", np.zeros((16, 15)).tolist(), "must have shape (16, 16), got (16, 15)"),
+        (1, "target", np.zeros((16, 15)).tolist(),
+         "must have shape (16, 16) from 'height' and 'width', got (16, 15)"),
     ], ids=["mask_range", "strength", "target_shape"])
     def test_bad_branch_exits_2_naming_its_index(self, i, key, value, says, tmp_path, capsys):
         d = scenario_to_dict(preset_scenario("three_way"))
@@ -471,6 +472,20 @@ class TestScenarioFieldTypes:
         p.write_text(json.dumps(d))
         assert main(["simulate", "--scenario", str(p), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == f"error: scenario field 'branches[{i}].{key}' {says}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_deleted_channels_is_named_by_the_embedding_shape(self, tmp_path, capsys):
+        # the default channel count no longer fits a 4-channel embedding: the fix is in 'channels'
+        branch = Branch(np.ones((2, 2)), np.zeros((2, 2)), branch_embedding(4, 0))
+        d = scenario_to_dict(Scenario(2, 2, channels=4, branches=[branch]))
+        del d["channels"]
+        p = tmp_path / "scn.json"
+        p.write_text(json.dumps(d))
+        assert main(["simulate", "--scenario", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: scenario field 'branches[0].embedding' must have shape (8,) "
+            "from 'channels', got (4,)\n"
+        )
         assert not (tmp_path / "o").exists()
 
 

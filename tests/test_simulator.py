@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from sampled_steps import sample_with_steps
 from scenario_json import SUBSTITUTES, blamed_key, key_paths, small_scenario_dicts, substituted
 from maxfusion import simulator
 from maxfusion import (
@@ -20,7 +21,6 @@ from maxfusion import (
     FeatureMap,
     NoiseSchedule,
     Scenario,
-    SelectionStats,
     SpatialMap,
     analytic_score,
     branch_embedding,
@@ -83,6 +83,13 @@ class TestNoiseSchedule:
         with pytest.raises(ValueError, match=r"^scenario field 'schedule.beta_start' must be a "
                                              r"number in \(0, 1\), got 0.0$"):
             NoiseSchedule.linear(beta_start=0.0)
+
+    @pytest.mark.parametrize("steps", [5, 50])
+    def test_linear_float32_bounds_give_the_betas_of_their_float_values(self, steps):
+        start, end = np.float32(1e-4), np.float32(0.02)
+        got = NoiseSchedule.linear(steps, start, end).betas
+        want = NoiseSchedule.linear(steps, float(start), float(end)).betas
+        assert got.tobytes() == want.tobytes()
 
 
 class TestAnalyticScore:
@@ -239,7 +246,7 @@ class TestDecodeGuidance:
 
 class TestEmbeddings:
     def test_readout_identity_and_spread(self):
-        for c in (4, 8, 16, 6, 10):
+        for c in (4, 8, 16, 6, 10, simulator.MAX_CHANNELS):
             u = np.full(c, 1.0 / c)  # the uniform read-out decode_guidance uses
             for idx in range(3):
                 w = branch_embedding(c, idx)
@@ -259,8 +266,13 @@ class TestEmbeddings:
             (8, -1, "index must be >= 0, got -1"),
             (1, 0, "need at least 2 channels for a non-degenerate embedding"),
             (3, 2, "degenerate embedding direction for index 2"),
+            # bounded before _hadamard_row builds one sign per channel, which for a power of
+            # two as large as 2**40 would take days and run out of memory
+            (2 * simulator.MAX_CHANNELS, 0,
+             f"channels must be <= {simulator.MAX_CHANNELS}, got {2 * simulator.MAX_CHANNELS}"),
         ],
-        ids=["float-channels", "bool-index", "negative-index", "one-channel", "zero-direction"],
+        ids=["float-channels", "bool-index", "negative-index", "one-channel", "zero-direction",
+             "past-max-channels"],
     )
     def test_channels_and_index_are_checked(self, channels, index, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -304,16 +316,17 @@ class TestScenarioValidation:
             tiny_scenario(guidance_weight=-1.0)
 
     def test_mask_grid_mismatch_names_branch(self):
-        message = "scenario field 'branches[0].mask' must have shape (8, 6), got (6, 6)"
+        message = ("scenario field 'branches[0].mask' must have shape (8, 6) "
+                   "from 'height' and 'width', got (6, 6)")
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             tiny_scenario(height=8)
 
     # a wrong rank and a wrong length alike: each array must have the shape the scenario needs
     @pytest.mark.parametrize("field, shape, want", [
-        ("mask", (6,), (6, 6)),
-        ("target", (6, 5), (6, 6)),
-        ("embedding", (2, 4), (8,)),
-        ("embedding", (4,), (8,)),
+        ("mask", (6,), "(6, 6) from 'height' and 'width'"),
+        ("target", (6, 5), "(6, 6) from 'height' and 'width'"),
+        ("embedding", (2, 4), "(8,) from 'channels'"),
+        ("embedding", (4,), "(8,) from 'channels'"),
     ], ids=["mask_rank", "target_shape", "embedding_rank", "embedding_length"])
     def test_branch_array_of_wrong_shape_names_its_field(self, field, shape, want):
         fields = dict(mask=np.ones((6, 6)), target=np.zeros((6, 6)), embedding=np.ones(8))
@@ -522,10 +535,6 @@ class TestEntryPointArguments:
         pytest.param(lambda: Scenario(2, 2, branches=[_JSON["branches"][0]]),
                      "scenario field 'branches[0]' must be a Branch, got an object",
                      id="branch_dict"),
-        pytest.param(lambda: sample(tiny_scenario(), record_trace="no"),
-                     "record_trace must be True or False, got 'no'", id="record_trace"),
-        pytest.param(lambda: sample(tiny_scenario(), record_trace=1),
-                     "record_trace must be True or False, got 1", id="record_trace_int"),
         pytest.param(lambda: run_ablation(tiny_scenario(), 0.5),
                      "deltas must be a list or tuple, got 0.5", id="deltas_float"),
         pytest.param(lambda: run_ablation(tiny_scenario(), np.array([0.5])),
@@ -548,10 +557,6 @@ class TestEntryPointArguments:
                      "prior_std must be finite and real, got 'a'", id="prior_std_str"),
         pytest.param(lambda: analytic_score(np.zeros(2), 0, NoiseSchedule.linear(), 0.0, math.inf),
                      "prior_std must be finite and real, got inf", id="prior_std_inf"),
-        pytest.param(lambda: SelectionStats.from_mask({}),
-                     "mask must be a SelectionMask, got an object", id="from_mask_dict"),
-        pytest.param(lambda: SelectionStats.from_mask(np.zeros((2, 2), np.int8)),
-                     "mask must be a SelectionMask, got an array", id="from_mask_array"),
     ])
     def test_wrong_kind_named(self, call, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -615,8 +620,8 @@ class TestSampling:
 
     def test_fold_trace_satisfies_renormalization_in_situ(self):
         scn = preset_scenario("contradictory")
-        rep = sample(scn, record_trace=True)
-        step = rep.trace[10]
+        _, steps = sample_with_steps(scn)
+        step = steps[10]
         assert step
         fold = maxfusion_fold(list(step), scn.delta)
         f1, f2 = step
@@ -633,21 +638,30 @@ class TestSampling:
 
     def test_recorded_selection_stats_are_consistent(self):
         scn = preset_scenario("complementary")
-        rep = sample(scn, record_trace=True)
-        for events, ts in zip(rep.step_stats, reversed_trace_steps(rep)):
+        rep, steps = sample_with_steps(scn)
+        for events, ts in zip(rep.step_stats, steps):
             assert len(events) == 1
             pair = maxfusion_fold(list(ts), scn.delta).pair_results[0]
-            assert events[0].averaged_fraction == pair.selection.averaged_fraction()
+            assert events[0][0] == pair.selection.averaged_fraction()
+            assert events[0] == pair.selection._fractions()  # the mask's own three fractions
 
     def test_three_way_runs_and_reports_three_mses(self):
         rep = sample(preset_scenario("three_way"))
         assert len(rep.branch_mse) == 3
         assert all(m >= 0 for m in rep.branch_mse)
+        # two pair merges a step, each event (averaged, chain wins, incoming wins)
+        for events in rep.step_stats:
+            assert len(events) == 2
+            assert all(len(ev) == 3 and all(type(f) is float for f in ev) for ev in events)
+
+    def test_naive_event_has_three_numbers_at_any_branch_count(self):
+        scn = replace(preset_scenario("three_way"), strategy="naive")
+        assert sample(scn).step_stats == (((1.0, 0.0, 0.0),),) * scn.schedule.steps
 
     def test_mid_run_fold_matches_scalar_oracle(self):
         scn = preset_scenario("three_way")
-        rep = sample(scn, record_trace=True)
-        step = rep.trace[25]
+        _, steps = sample_with_steps(scn)
+        step = steps[25]
         fold = maxfusion_fold(list(step), scn.delta)
         feats = [f.data for f in step]
         eff, updated, codes = oracles.fold(feats, scn.delta, True)
@@ -664,10 +678,6 @@ def replace_strategy(report, name):
     # reports only differ by the label when runs are bit-identical
     report.strategy = name
     return report
-
-
-def reversed_trace_steps(report):
-    return report.trace
 
 
 class TestDivergence:
@@ -790,9 +800,9 @@ class TestPresets:
 
     def test_complementary_overlap_averages_at_default_gate(self):
         scn = preset_scenario("complementary")
-        rep = sample(scn, record_trace=True)
+        _, steps = sample_with_steps(scn)
         overlap = (scn.branches[0].mask > 0) & (scn.branches[1].mask > 0)
-        for ts in rep.trace:
+        for ts in steps:
             codes = maxfusion_fold(list(ts), scn.delta).pair_results[0].selection.codes
             assert np.mean(codes[overlap] == AVERAGED) > 0.5
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxfusion import SelectionStats, maxfusion_fold, merge_pair, unmerge_pair
+from maxfusion import maxfusion_fold, merge_pair, unmerge_pair
 from maxfusion.tensor_core import (
     AVERAGED,
     FeatureMap,
@@ -314,8 +314,6 @@ class TestSelectionMask:
         got = [mask.averaged_fraction(), *mask.win_fractions()]
         assert all(type(g) is float for g in got)
         assert np.array(got).tobytes() == np.array(want).tobytes()  # bit for bit
-        stats = SelectionStats.from_mask(mask)
-        assert [stats.averaged_fraction, *stats.win_fractions] == got
 
     def test_pgm_encoding(self):
         mask = SelectionMask(np.array([[AVERAGED, 0, 1, 0]]))
