@@ -3,7 +3,7 @@
 Three branches with disjoint masks and different targets fold left to
 right: the first two merge, then the third merges into the running
 fused feature.  The sampler needs only those merges, and its report
-keeps each merge's three fractions, not the features.  To look at the
+keeps four numbers per merge, not the features.  To look at the
 features, the demo encodes the three branches itself against the run's
 final sample, taken as the clean-image estimate, and folds them with
 maxfusion_fold, which unmerges too, so every branch leaves with an
@@ -22,8 +22,10 @@ print(f"three branches, targets +2 / -2 / +1, {scn.schedule.steps} steps")
 print("final masked MSE per branch:", tuple(round(m, 4) for m in rep.branch_mse))
 print()
 
-# the run keeps numbers only: each merge event is (averaged, chain wins, incoming wins)
-print("the run's merge events at step 25:",
+# the run keeps numbers only: each merge event is (averaged, chain wins, incoming wins,
+# tied), where tied is the part of the chain's wins that the tie rule gave it because
+# both sigma_hat are equal; here those are locations where neither branch has any signal
+print("the run's merge events at step 25 (averaged / chain wins / incoming wins / tied):",
       ", ".join(" / ".join(f"{f:.2f}" for f in event) for event in rep.step_stats[25]))
 print()
 

@@ -38,8 +38,8 @@ from functools import partial
 
 import numpy as np
 
-from .fusion import DEFAULT_DELTA, MAX_SELECT_DELTA, _merge_chain, naive_average
-from .tensor_core import FeatureMap, _check_finite, _freeze, _instance, _integer, _real
+from .fusion import DEFAULT_DELTA, MAX_SELECT_DELTA, PairFusionResult, _merge_chain, naive_average
+from .tensor_core import AVERAGED, FeatureMap, _check_finite, _freeze, _instance, _integer, _real
 from .tensor_core import _real_array, _shown
 
 STRATEGIES = ("maxfusion", "naive", "max_select", "single", "unconditional")
@@ -240,12 +240,14 @@ class RunReport:
     """Outcome of one simulator run; delta is the correlation gate it fused at.
 
     step_stats has one tuple of merge events per step, t = T-1 first; an
-    event is one selection mask's (averaged, branch 0 wins, branch 1 wins).
+    event is one selection mask's (averaged, branch 0 wins, branch 1 wins),
+    then tied: the share of locations won with both sigma_hat exactly equal,
+    which the tie rule gives to branch 0, so it is part of its wins.
     """
 
     final_sample: np.ndarray
     branch_mse: tuple[float, ...]
-    step_stats: tuple[tuple[tuple[float, float, float], ...], ...]
+    step_stats: tuple[tuple[tuple[float, float, float, float], ...], ...]
     seed: int
     strategy: str
     delta: float | None
@@ -343,17 +345,25 @@ def _gate(scenario: Scenario) -> float | None:
     return gates.get(scenario.strategy)
 
 
+def _event(pair: PairFusionResult) -> tuple[float, float, float, float]:
+    """A merge event: the mask's three fractions, then the share of locations won on a tie."""
+    codes = pair.selection.codes
+    s1_hat, s2_hat = (s.data for s in pair.sigma_hat)
+    tied = int(np.count_nonzero((codes != AVERAGED) & (s1_hat == s2_hat))) / codes.size
+    return (*pair.selection._fractions(), tied)
+
+
 def _apply_strategy(scenario: Scenario, delta: float | None, feats: tuple[FeatureMap, ...]):
     strat = scenario.strategy
     if strat in ("maxfusion", "max_select"):
         if len(feats) == 1:
             return feats[0], ()
         pairs = _merge_chain(feats, delta)
-        return pairs[-1].f_eff, tuple(r.selection._fractions() for r in pairs)
+        return pairs[-1].f_eff, tuple(map(_event, pairs))
     if strat == "naive":
         # one all-averaged merge event, so the stats line up with a
         # maxfusion run at the same gate
-        return naive_average(list(feats)), ((1.0, 0.0, 0.0),)
+        return naive_average(list(feats)), ((1.0, 0.0, 0.0, 0.0),)
     # single is all that is left: Scenario admits only STRATEGIES, and unconditional never fuses
     return feats[scenario.single_branch], ()
 

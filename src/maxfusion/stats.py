@@ -77,9 +77,8 @@ _ready = threading.Condition()
 def _serve() -> None:
     """A helper's loop: wait for a pending entry, take the oldest and run it.
 
-    The entry stays bound until the next one, and with it the arrays of the call
-    it served.  Those keep the top of glibc's heap in use, so the caller's freed
-    memory below them is not trimmed and faulted in again by the next call.
+    The entry is dropped once it has run, so an idle helper holds none of the
+    arrays of the call it served.
     """
     while True:
         with _ready:
@@ -87,6 +86,7 @@ def _serve() -> None:
                 _ready.wait()
             run = _pending.pop(0)
         run()
+        del run
 
 
 def _fresh_runner() -> None:

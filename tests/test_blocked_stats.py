@@ -23,6 +23,7 @@ import threading
 import time
 import traceback
 import warnings
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -471,6 +472,25 @@ class TestBlockRunner:
         with small_blocks((1, 40, 2), 2), n_workers(workers), np.errstate(over="raise"):
             RUNS[run](fn)
         assert seen and set(seen) == {"raise"}
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_an_idle_helper_holds_no_array_of_its_last_call(self, workers):
+        def call():
+            x = np.zeros(8)
+
+            def touch(part):
+                x[part] += 1.0
+
+            with n_workers(workers):
+                stats._each(helper_and_caller(touch, touch), list(range(8)))
+            return weakref.ref(x)
+
+        ref = call()  # the caller has dropped x and fn
+        # a helper drops its entry just after it releases the caller
+        deadline = time.monotonic() + 1.0
+        while ref() is not None and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert ref() is None
 
     def test_one_block_maps_start_no_thread(self, monkeypatch):
         monkeypatch.setattr(stats, "_WORKERS", 3)

@@ -1,4 +1,5 @@
 import contextlib
+import ctypes
 import functools
 import io
 import json
@@ -7,6 +8,8 @@ import os
 import re
 import string
 import struct
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -286,6 +289,107 @@ class TestFuseCommand:
         src = tmp_path / "t.mxft"
         write_tensor_file(src, random_tensor(7))
         assert main(["fuse", str(src), "--out", str(tmp_path)]) == 2
+
+
+# Fuses 2-branch MXFT pairs at four ladder shapes, in process as bench/ does: one
+# warm-up cycle of the four calls, then the minor page faults of each further cycle.
+FAULTS_PER_FUSE_CYCLE = """
+import contextlib, io, json, resource, shutil, sys
+from pathlib import Path
+import numpy as np
+from maxfusion import FeatureMap, write_tensor
+from maxfusion.cli import main
+
+work, rng, calls = Path(sys.argv[1]), np.random.default_rng(0), []
+for k, shape in enumerate([(320, 64, 64), (640, 32, 32), (1280, 16, 16), (1280, 8, 8)]):
+    paths = [work / f"{k}_{b}.mxft" for b in range(2)]
+    for p in paths:
+        with open(p, "wb") as fh:
+            write_tensor(FeatureMap(rng.standard_normal(shape, dtype=np.float32)), fh)
+    calls.append(["fuse", *map(str, paths), "--out", str(work / f"out{k}")])
+
+def cycle():
+    for argv in calls:
+        shutil.rmtree(argv[-1], ignore_errors=True)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+
+cycle()
+faults = []
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    cycle()
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+"""
+
+
+def _has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+class TestHeapPolicy:
+    @pytest.fixture(autouse=True)
+    def fresh_policy(self):
+        cli._keep_freed_memory.cache_clear()
+        yield
+        cli._keep_freed_memory.cache_clear()
+
+    def fuse_outputs(self, tmp_path, name) -> dict:
+        paths = [tmp_path / f"in{i}.mxft" for i in range(2)]
+        for i, p in enumerate(paths):
+            write_tensor_file(p, random_tensor(30 + i, (16, 8, 8)))
+        out = tmp_path / name
+        assert main(["fuse", *map(str, paths), "--out", str(out)]) == 0
+        return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+    @pytest.mark.skipif(not _has_mallopt(), reason="needs glibc's mallopt")
+    def test_repeated_fuse_calls_fault_in_almost_nothing(self, tmp_path):
+        pytest.importorskip("resource")
+        paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        run = subprocess.run(
+            [sys.executable, "-c", FAULTS_PER_FUSE_CYCLE, str(tmp_path)],
+            capture_output=True, text=True, timeout=300, env=env,
+        )
+        assert run.returncode == 0, run.stderr
+        # glibc's dynamic thresholds made 1.6k-5.0k faults a cycle; fixed ones make 0-3
+        faults = json.loads(run.stdout.splitlines()[-1])
+        assert len(faults) == 3 and max(faults) < 1000, faults
+
+    @pytest.mark.parametrize("mmap_taken", [1, 0])
+    def test_both_thresholds_are_set_once_or_neither(self, mmap_taken, tmp_path, monkeypatch):
+        calls = []
+
+        class Libc:
+            def mallopt(self, param, value):
+                calls.append((param, value))
+                return mmap_taken if param == -3 else 1
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: Libc())
+        want = [(-3, 32 << 20), (-1, 128 << 20)] if mmap_taken else [(-3, 32 << 20)]
+        self.fuse_outputs(tmp_path, "a")
+        self.fuse_outputs(tmp_path, "b")
+        assert calls == want
+
+    @pytest.mark.parametrize("libc", ["no_handle", "no_mallopt"])
+    def test_without_mallopt_main_writes_the_same_bytes(self, libc, tmp_path, monkeypatch):
+        want = self.fuse_outputs(tmp_path, "want")
+        cli._keep_freed_memory.cache_clear()
+        opened = []
+
+        def cdll(name):
+            opened.append(name)
+            if libc == "no_handle":
+                raise OSError("no such library")
+            return object()  # a C library without mallopt
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert self.fuse_outputs(tmp_path, "got") == want
+        assert opened == [None]
 
 
 class TestSimulateCommand:

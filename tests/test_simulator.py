@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import oracles
 from sampled_steps import sample_with_steps
 from scenario_json import SUBSTITUTES, blamed_key, key_paths, small_scenario_dicts, substituted
-from maxfusion import simulator
+from maxfusion import simulator, stats
 from maxfusion import (
     AVERAGED,
     Branch,
@@ -643,20 +643,37 @@ class TestSampling:
             assert len(events) == 1
             pair = maxfusion_fold(list(ts), scn.delta).pair_results[0]
             assert events[0][0] == pair.selection.averaged_fraction()
-            assert events[0] == pair.selection._fractions()  # the mask's own three fractions
+            assert events[0][:3] == pair.selection._fractions()  # the mask's own three fractions
+
+    def test_tied_is_the_share_of_locations_won_on_equal_sigma_hat(self):
+        scn = replace(preset_scenario("three_way"), seed=11)
+        rep, steps = sample_with_steps(scn)
+        step = 25
+        pairs = maxfusion_fold(list(steps[step]), scn.delta).pair_results
+        assert len(rep.step_stats[step]) == len(pairs) == 2
+        for event, pair in zip(rep.step_stats[step], pairs):
+            codes = pair.selection.codes
+            s1_hat, s2_hat = (m.data for m in pair.sigma_hat)
+            equal = (codes != AVERAGED) & (s1_hat == s2_hat)
+            assert event == (*pair.selection._fractions(), equal.sum() / codes.size)
+            assert type(event[3]) is float
+            assert 0.0 < event[3] <= event[1]  # the tie rule gives each tie to branch 0
+            # here every tie is a location where neither branch has any signal
+            silent = np.logical_and(*(m.data < stats.EPSILON_NORM for m in pair.sigma))
+            assert np.array_equal(equal, silent)
 
     def test_three_way_runs_and_reports_three_mses(self):
         rep = sample(preset_scenario("three_way"))
         assert len(rep.branch_mse) == 3
         assert all(m >= 0 for m in rep.branch_mse)
-        # two pair merges a step, each event (averaged, chain wins, incoming wins)
+        # two pair merges a step, each event (averaged, chain wins, incoming wins, tied)
         for events in rep.step_stats:
             assert len(events) == 2
-            assert all(len(ev) == 3 and all(type(f) is float for f in ev) for ev in events)
+            assert all(len(ev) == 4 and all(type(f) is float for f in ev) for ev in events)
 
-    def test_naive_event_has_three_numbers_at_any_branch_count(self):
+    def test_naive_event_has_four_numbers_at_any_branch_count(self):
         scn = replace(preset_scenario("three_way"), strategy="naive")
-        assert sample(scn).step_stats == (((1.0, 0.0, 0.0),),) * scn.schedule.steps
+        assert sample(scn).step_stats == (((1.0, 0.0, 0.0, 0.0),),) * scn.schedule.steps
 
     def test_mid_run_fold_matches_scalar_oracle(self):
         scn = preset_scenario("three_way")
