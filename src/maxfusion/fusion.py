@@ -93,7 +93,8 @@ def naive_average(branches: list[FeatureMap]) -> FeatureMap:
     """Elementwise arithmetic mean across branches (the fusion baseline)."""
     _feature_maps(branches, 1, "average")
     stack = np.stack([b.data for b in branches], dtype=np.float64)
-    return FeatureMap._adopt((stack.sum(axis=0) / len(branches)).astype(np.float32))
+    with np.errstate(under="ignore"):  # a float32 subnormal is a legal mean
+        return FeatureMap._adopt((stack.sum(axis=0) / len(branches)).astype(np.float32))
 
 
 def merge_pair(f1: FeatureMap, f2: FeatureMap, delta: float = DEFAULT_DELTA) -> PairFusionResult:
@@ -152,6 +153,8 @@ def _unmerge_slot(
     codes = result.selection.codes
     own_sigma, win_sigma = result.sigma[slot].data, result.sigma[1 - slot].data
     lost = codes == (1 - slot)
+    if not lost.any():  # every location averaged or won by this branch
+        return result.f_eff
     rescalable = lost & (win_sigma >= EPSILON_NORM) & renormalize
     # scale 1 keeps f_eff: the fused vector, or this branch's own where it won
     scale = np.ones(codes.shape)
@@ -165,9 +168,7 @@ def _unmerge_slot(
             np.copyto(out, x[ch], where=kept)
         finite.append(np.isfinite(out).all())
 
-    # an overflowing rescale is reported by the finite check, not a warning
-    with np.errstate(over="ignore"):
-        _each(rescale, _slabs(*eff.shape))
+    _each(rescale, _slabs(*eff.shape))  # an overflow is reported by the finite check
     try:
         return FeatureMap._adopt(merged if all(finite) else _check_finite(merged))
     except ValueError as exc:

@@ -30,8 +30,10 @@ instead of sequentially.  The blocks run on ``_each`` on up to
 its own rows; fusion's select and unmerge run on it too, over channel
 ``_slabs``.  Its helper threads start at the first call with two or
 more parts and then live for the process, at most ``_WORKERS - 1`` of
-them (none on one CPU); a forked child starts its own.  Block bounds
-and per-block arithmetic do not depend on the thread count, so the
+them (none on one CPU); a forked child starts its own.  Every part
+runs under the runner's own np.errstate, not the caller's: overflow
+and underflow pass silently, the rest warns.  Block bounds and
+per-block arithmetic do not depend on the thread count, so the
 results are bit-identical to whole-array ones on any number of CPUs.
 sigma_hat needs the global spatial sum, so it is derived from the
 assembled sigma map after the blocks.
@@ -39,7 +41,6 @@ assembled sigma map after the blocks.
 
 from __future__ import annotations
 
-import contextvars
 import os
 import threading
 
@@ -75,7 +76,7 @@ _ready = threading.Condition()
 
 
 def _serve() -> None:
-    """A helper's loop: wait for a pending entry, take the oldest and run it.
+    """A helper's loop: take the oldest pending (work, done) entry, run work, release done.
 
     The entry is dropped once it has run, so an idle helper holds none of the
     arrays of the call it served.
@@ -84,9 +85,10 @@ def _serve() -> None:
         with _ready:
             while not _pending:
                 _ready.wait()
-            run = _pending.pop(0)
-        run()
-        del run
+            work, done = _pending.pop(0)
+        work()
+        done.release()
+        del work, done
 
 
 def _fresh_runner() -> None:
@@ -101,60 +103,54 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_fresh_runner)
 
 
-def _entry(work):
-    """An entry that runs work in a copy of the caller's context, and the lock it releases then."""
-    ctx, done = contextvars.copy_context(), threading.Lock()
-    done.acquire()
-
-    def run():
-        ctx.run(work)
-        done.release()
-
-    return run, done
-
-
 def _each(fn, parts: list) -> None:
     """Call fn(part) for each of parts on the caller and on up to _WORKERS - 1 helpers.
 
-    The call posts one entry per helper it wants, starting helpers the process
-    lacks, and works through the parts too; a helper takes parts from the same
-    iterator in its entry's copy of the caller's context, so np.errstate holds.
-    The caller then takes back every entry no helper took up and waits only for
+    The call posts one (work, done) entry per helper it wants, starting helpers
+    the process lacks, and works through the parts too; a helper takes parts
+    from the same iterator and releases done when the parts run out.  The
+    caller then takes back every entry no helper took up and waits only for
     those that a helper did, so a nested or concurrent call cannot deadlock.  A
-    list of one part posts nothing.  The first exception is re-raised after those
-    helpers finish.
+    list of one part posts nothing.  The first exception is re-raised after
+    those helpers finish.
+
+    Every part, on any thread, runs under one np.errstate, not the caller's:
+    overflow and underflow pass silently (a float32 subnormal is a legal result,
+    and a part that may overflow checks its output), any other event warns.
     """
     todo, lock, errors = iter(parts), threading.Lock(), []
 
     def work():
         try:
-            while not errors:
-                with lock:
-                    part = next(todo, None)
-                if part is None:
-                    return
-                fn(part)
+            with np.errstate(all="warn", over="ignore", under="ignore"):
+                while not errors:
+                    with lock:
+                        part = next(todo, None)
+                    if part is None:
+                        return
+                    fn(part)
         except BaseException as exc:  # the caller re-raises it
             errors.append(exc)
 
-    posted = [_entry(work) for _ in range(min(_WORKERS, len(parts)) - 1)]
+    # done starts taken; the helper that runs the entry releases it
+    posted = [(work, threading.Semaphore(0)) for _ in range(min(_WORKERS, len(parts)) - 1)]
     if posted:
         with _ready:
             while len(_helpers) < len(posted):
                 helper = threading.Thread(target=_serve, name="maxfusion-stats", daemon=True)
                 helper.start()
                 _helpers.append(helper)
-            _pending.extend(run for run, _ in posted)
+            _pending.extend(posted)
             _ready.notify(len(posted))
     work()
     if posted:
         with _ready:
             taken = []
-            for run, done in posted:
-                if run in _pending:
-                    _pending.remove(run)  # no helper took it up
+            for entry in posted:
+                if entry in _pending:
+                    _pending.remove(entry)  # no helper took it up
                 else:
-                    taken.append(done)
+                    taken.append(entry[1])
         for done in taken:
             done.acquire()
     if errors:

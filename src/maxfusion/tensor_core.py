@@ -116,7 +116,7 @@ def _real_array(name: str, value, dtype=np.float64) -> np.ndarray:
     # numpy reads a True among numbers as 1; the kind check first bounds what _has_bool walks
     if arr is None or arr.dtype.kind not in "iuf" or _has_bool(value):
         raise ValueError(f"{name} must be a rectangular array of real numbers, got {_shown(value)}")
-    with np.errstate(over="ignore"):  # a value past the range of dtype fails the finite check
+    with np.errstate(over="ignore", under="ignore"):  # overflow fails the finite check
         return _check_finite(arr.astype(dtype), name)
 
 

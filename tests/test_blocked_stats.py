@@ -12,7 +12,9 @@ a one-CPU host too.  The runner's helper threads outlive each call, so
 its tests compare threads against the helpers the process already
 holds, and check the bound on helpers in a forked child, which starts
 with none.  ``TestSlabPass`` does the same for merge_pair's select and
-the unmerge rescale, which run on the same runner over channel slabs.
+the unmerge rescale, which run on the same runner over channel slabs,
+and ``TestFloatingPointPolicy`` runs both under a caller's raising
+np.errstate, which no part may see.
 """
 
 import contextlib
@@ -464,15 +466,6 @@ class TestBlockRunner:
         assert set(threading.enumerate()) - before <= set(stats._helpers)
         assert len(stats._helpers) <= max(helpers, workers - 1)
 
-    @pytest.mark.parametrize("run", RUNS)
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_helpers_see_the_callers_errstate(self, workers, run):
-        seen = []
-        fn = helper_and_caller(lambda rows: None, lambda rows: seen.append(np.geterr()["over"]))
-        with small_blocks((1, 40, 2), 2), n_workers(workers), np.errstate(over="raise"):
-            RUNS[run](fn)
-        assert seen and set(seen) == {"raise"}
-
     @pytest.mark.parametrize("workers", [2, 3])
     def test_an_idle_helper_holds_no_array_of_its_last_call(self, workers):
         def call():
@@ -648,6 +641,10 @@ def helpers_first(ran):
     return each
 
 
+# numpy's default error state, and a caller that turns every floating-point event into an error
+ERRSTATES = {"default": {}, "raise": {"all": "raise"}}
+
+
 class TestSlabPass:
     @pytest.mark.parametrize("shape", LADDER_SHAPES)
     def test_ladder_shapes_bit_identical(self, shape):
@@ -707,13 +704,19 @@ class TestSlabPass:
             unmerge_pair(loud, quiet, res)
         assert str(slabs.value) == str(whole.value)
 
+    @pytest.mark.parametrize("errstate", ERRSTATES)
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_overflow_in_a_helpers_slab_reports_the_whole_map_index(self, workers, monkeypatch):
+    def test_overflow_in_a_helpers_slab_reports_the_whole_map_index(
+        self, workers, errstate, monkeypatch
+    ):
+        # the caller's error state reaches no thread: the overflow is the library's
+        # ValueError, never a FloatingPointError, on the caller and on the helpers
         loud, quiet = overflow_in_later_slabs()
         res = merge_pair(loud, quiet)
         ran = []
         monkeypatch.setattr(fusion, "_each", helpers_first(ran))
-        with small_slabs(loud.shape, 2), n_workers(workers), pytest.raises(
+        caller = np.errstate(**ERRSTATES[errstate])
+        with small_slabs(loud.shape, 2), n_workers(workers), caller, pytest.raises(
             ValueError, match=r"^unmerge overflowed float32 rescaling branch 0 "
                               r"\(non-finite value at index 4\)$"
         ):
@@ -779,3 +782,72 @@ class TestSlabPass:
         for renormalize in (True, False):
             unmerge_pair(f1, f2, res, renormalize=renormalize)
             maxfusion_fold([f1, f2, f3], renormalize=renormalize)
+
+    @pytest.mark.parametrize("delta", [-1.0, 0.7])
+    def test_a_slot_that_lost_no_location_is_f_eff_itself(self, delta):
+        # at delta -1 every pair averages everywhere; at 0.7 identical branches do
+        x = branch_pair(15, (6, 5, 4), 0.0)[0]
+        xs = (x, x, x) if delta == 0.7 else (*branch_pair(15, (6, 5, 4), 0.0), x[::-1].copy())
+        fs = [FeatureMap(v) for v in xs]
+        fold = maxfusion_fold(fs, delta)
+        first, last = fold.pair_results
+        assert all((r.selection.codes == AVERAGED).all() for r in (first, last))
+        assert fold.updated[0] is last.f_eff and fold.updated[2] is last.f_eff
+        assert fold.updated[1] is first.f_eff
+        eff, updated = ref_fold(xs, delta, True)
+        assert same_bytes(fold.f_eff.data, eff)
+        for u, want in zip(fold.updated, updated, strict=True):
+            assert same_bytes(u.data, want)
+        assert all(u is first.f_eff for u in unmerge_pair(fs[0], fs[1], first))
+
+    def test_only_the_slot_that_lost_nothing_is_f_eff(self):
+        # identical branches never average at delta 2; the tie goes to branch 0 everywhere
+        x = branch_pair(16, (6, 5, 4), 0.0)[0]
+        f = FeatureMap(x)
+        res = merge_pair(f, f, 2.0)
+        assert (res.selection.codes == 0).all()
+        u0, u1 = unmerge_pair(f, f, res)
+        assert u0 is res.f_eff and u1 is not res.f_eff
+        for u, want in zip((u0, u1), ref_unmerge(x, x, *ref_merge(x, x, 2.0), True)):
+            assert same_bytes(u.data, want)
+
+
+def subnormal_branches(shape):
+    """Three float32 branches: two of subnormal values around a normal-valued one.
+
+    Their averages and the tiny branches' rescales round to float32 subnormals, so
+    numpy flags an underflow, in the merge's cast and in the unmerge's multiply.
+    """
+    rng = np.random.default_rng(17)
+    tiny = rng.normal(size=(2, *shape)) * 1e-39
+    assert np.abs(tiny).max() < np.finfo(np.float32).tiny
+    return tuple(v.astype(np.float32) for v in (tiny[0], rng.normal(size=shape), tiny[1]))
+
+
+def pair_and_fold_bytes(xs, delta):
+    """Bytes of merge_pair, unmerge_pair (both ways) and maxfusion_fold (both ways) on xs."""
+    fs = [FeatureMap(x) for x in xs]
+    res = merge_pair(fs[0], fs[1], delta)
+    out = [res.f_eff.data.tobytes(), res.selection.codes.tobytes()]
+    for renormalize in (True, False):
+        out += [u.data.tobytes() for u in unmerge_pair(fs[0], fs[1], res, renormalize=renormalize)]
+        out += fold_bytes(maxfusion_fold(fs, delta, renormalize=renormalize))
+    return out
+
+
+class TestFloatingPointPolicy:
+    """Every part runs under the runner's error state, whatever the caller's."""
+
+    @pytest.mark.parametrize("delta", [-1.0, 0.7])
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("shape", [(4, 3, 3), (320, 64, 64)])
+    def test_subnormal_branches_under_a_raising_caller(self, shape, workers, delta):
+        xs = subnormal_branches(shape)
+        # 4x3x3 in one-channel slabs, which also cut two row blocks; 320x64x64 at 1 MiB
+        budget = small_slabs(shape, 1) if shape[0] == 4 else contextlib.nullcontext()
+        with budget, n_workers(workers):
+            assert len(stats._row_blocks(*shape)) >= 2 and len(stats._slabs(*shape)) >= 4
+            want = pair_and_fold_bytes(xs, delta)
+            with np.errstate(all="raise"):
+                got = pair_and_fold_bytes(xs, delta)
+        assert got == want

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxfusion import maxfusion_fold, merge_pair, unmerge_pair
+from maxfusion import maxfusion_fold, merge_pair, naive_average, unmerge_pair
 from maxfusion.tensor_core import (
     AVERAGED,
     FeatureMap,
@@ -79,6 +79,26 @@ class TestFeatureMapConstruction:
             make_feature_map(1, 1, 1, [1e39])
         with pytest.raises(ValueError, match="non-finite.*index 0"):
             FeatureMap(np.full((1, 1, 1), 1e39))
+
+    def test_subnormal_values_under_a_raising_caller(self):
+        # a float32 subnormal is a legal value: a caller's np.errstate(all="raise")
+        # turns no cast that rounds to one into a FloatingPointError
+        tiny = np.random.default_rng(3).normal(size=(2, 4, 3, 3)) * 1e-39
+        branches = [FeatureMap(t.astype(np.float32)) for t in tiny]
+
+        def outputs():
+            sink = io.BytesIO()
+            write_tensor(SpatialMap(np.full((3, 3), 1e-40)), sink)
+            return [
+                FeatureMap(np.full((2, 3, 3), 1e-40)).data.tobytes(),
+                make_feature_map(2, 3, 3, [1e-40] * 18).data.tobytes(),
+                sink.getvalue(),
+                naive_average(branches).data.tobytes(),
+            ]
+
+        want = outputs()
+        with np.errstate(all="raise"):
+            assert outputs() == want
 
     def test_length_mismatch_names_expected_and_got(self):
         with pytest.raises(ValueError, match="expected 8.*got 7"):
