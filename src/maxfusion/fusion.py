@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .stats import EPSILON_NORM, _each, _normalize, _pair_pass, _slabs
-from .tensor_core import AVERAGED, FeatureMap, SelectionMask, SpatialMap, _check_finite
+from .tensor_core import AVERAGED, FeatureMap, SelectionMask, SpatialMap, _check_finite, _finite_cast
 from .tensor_core import _feature_maps, _flag, _instance, _real
 
 #: The default correlation gate.  Any finite delta is legal: values in [-1, 1]
@@ -93,8 +93,7 @@ def naive_average(branches: list[FeatureMap]) -> FeatureMap:
     """Elementwise arithmetic mean across branches (the fusion baseline)."""
     _feature_maps(branches, 1, "average")
     stack = np.stack([b.data for b in branches], dtype=np.float64)
-    with np.errstate(under="ignore"):  # a float32 subnormal is a legal mean
-        return FeatureMap._adopt((stack.sum(axis=0) / len(branches)).astype(np.float32))
+    return FeatureMap._adopt(_finite_cast(stack.sum(axis=0) / len(branches), np.float32))
 
 
 def merge_pair(f1: FeatureMap, f2: FeatureMap, delta: float = DEFAULT_DELTA) -> PairFusionResult:
@@ -153,8 +152,6 @@ def _unmerge_slot(
     codes = result.selection.codes
     own_sigma, win_sigma = result.sigma[slot].data, result.sigma[1 - slot].data
     lost = codes == (1 - slot)
-    if not lost.any():  # every location averaged or won by this branch
-        return result.f_eff
     rescalable = lost & (win_sigma >= EPSILON_NORM) & renormalize
     # scale 1 keeps f_eff: the fused vector, or this branch's own where it won
     scale = np.ones(codes.shape)

@@ -39,7 +39,7 @@ from functools import partial
 import numpy as np
 
 from .fusion import DEFAULT_DELTA, MAX_SELECT_DELTA, PairFusionResult, _merge_chain, naive_average
-from .tensor_core import AVERAGED, FeatureMap, _check_finite, _freeze, _instance, _integer, _real
+from .tensor_core import AVERAGED, FeatureMap, _finite_cast, _freeze, _instance, _integer, _real
 from .tensor_core import _real_array, _shown
 
 STRATEGIES = ("maxfusion", "naive", "max_select", "single", "unconditional")
@@ -321,8 +321,7 @@ def branch_encode(scenario: Scenario, b: int, x0_hat: np.ndarray) -> FeatureMap:
     br = scenario.branches[b]
     signal = br.strength * br.mask * (br.target - x0_hat)
     data = br.embedding[:, np.newaxis, np.newaxis] * signal[np.newaxis]
-    with np.errstate(over="ignore"):  # the finite check is the divergence detector, not a warning
-        return FeatureMap._adopt(_check_finite(data.astype(np.float32)))
+    return FeatureMap._adopt(_finite_cast(data, np.float32))  # the finite check detects divergence
 
 
 def decode_guidance(f_eff: FeatureMap) -> np.ndarray:

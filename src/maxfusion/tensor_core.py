@@ -75,6 +75,12 @@ def _check_finite(arr: np.ndarray, name: str | None = None) -> np.ndarray:
     return arr
 
 
+def _finite_cast(arr: np.ndarray, dtype, name: str | None = None) -> np.ndarray:
+    """arr cast to dtype and checked finite, silently: an overflow fails the check, a subnormal is legal."""
+    with np.errstate(over="ignore", under="ignore"):
+        return _check_finite(arr.astype(dtype), name)
+
+
 def _shown(value) -> str:
     """value as an error message shows it: an array or dict by its JSON kind, else its repr."""
     kinds = {list: "an array", np.ndarray: "an array", dict: "an object"}
@@ -116,8 +122,7 @@ def _real_array(name: str, value, dtype=np.float64) -> np.ndarray:
     # numpy reads a True among numbers as 1; the kind check first bounds what _has_bool walks
     if arr is None or arr.dtype.kind not in "iuf" or _has_bool(value):
         raise ValueError(f"{name} must be a rectangular array of real numbers, got {_shown(value)}")
-    with np.errstate(over="ignore", under="ignore"):  # overflow fails the finite check
-        return _check_finite(arr.astype(dtype), name)
+    return _finite_cast(arr, dtype, name)
 
 
 def _flag(name: str, value) -> bool:

@@ -783,34 +783,6 @@ class TestSlabPass:
             unmerge_pair(f1, f2, res, renormalize=renormalize)
             maxfusion_fold([f1, f2, f3], renormalize=renormalize)
 
-    @pytest.mark.parametrize("delta", [-1.0, 0.7])
-    def test_a_slot_that_lost_no_location_is_f_eff_itself(self, delta):
-        # at delta -1 every pair averages everywhere; at 0.7 identical branches do
-        x = branch_pair(15, (6, 5, 4), 0.0)[0]
-        xs = (x, x, x) if delta == 0.7 else (*branch_pair(15, (6, 5, 4), 0.0), x[::-1].copy())
-        fs = [FeatureMap(v) for v in xs]
-        fold = maxfusion_fold(fs, delta)
-        first, last = fold.pair_results
-        assert all((r.selection.codes == AVERAGED).all() for r in (first, last))
-        assert fold.updated[0] is last.f_eff and fold.updated[2] is last.f_eff
-        assert fold.updated[1] is first.f_eff
-        eff, updated = ref_fold(xs, delta, True)
-        assert same_bytes(fold.f_eff.data, eff)
-        for u, want in zip(fold.updated, updated, strict=True):
-            assert same_bytes(u.data, want)
-        assert all(u is first.f_eff for u in unmerge_pair(fs[0], fs[1], first))
-
-    def test_only_the_slot_that_lost_nothing_is_f_eff(self):
-        # identical branches never average at delta 2; the tie goes to branch 0 everywhere
-        x = branch_pair(16, (6, 5, 4), 0.0)[0]
-        f = FeatureMap(x)
-        res = merge_pair(f, f, 2.0)
-        assert (res.selection.codes == 0).all()
-        u0, u1 = unmerge_pair(f, f, res)
-        assert u0 is res.f_eff and u1 is not res.f_eff
-        for u, want in zip((u0, u1), ref_unmerge(x, x, *ref_merge(x, x, 2.0), True)):
-            assert same_bytes(u.data, want)
-
 
 def subnormal_branches(shape):
     """Three float32 branches: two of subnormal values around a normal-valued one.

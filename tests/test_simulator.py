@@ -190,6 +190,16 @@ class TestBranchEncode:
             with pytest.raises(ValueError, match=r"^non-finite value at index \d+$"):
                 branch_encode(preset_scenario("contradictory"), 0, np.full((16, 16), -1e300))
 
+    def test_subnormal_encoding_under_a_raising_caller(self):
+        # an encoding that rounds to float32 subnormals is legal: a caller's
+        # np.errstate(all="raise") turns its cast into no FloatingPointError
+        br = replace(tiny_scenario().branches[0], strength=1e-39)
+        scn = tiny_scenario(branches=(br,))
+        want = branch_encode(scn, 0, np.zeros((6, 6))).data
+        assert np.abs(want).max() < np.finfo(np.float32).tiny and want.any()
+        with np.errstate(all="raise"):
+            assert branch_encode(scn, 0, np.zeros((6, 6))).data.tobytes() == want.tobytes()
+
 
     @pytest.mark.parametrize(
         "b, x0_hat, message",
